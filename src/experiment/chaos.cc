@@ -213,7 +213,6 @@ baselineFingerprint(const Options &options)
     resetExtension(options);
     std::string print = runScenario(options, path);
     std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
     resetExtension(options);
     return print;
 }
@@ -237,7 +236,6 @@ runMatrix(const Options &opt)
             // recovery leg resumes over whatever survived, proving
             // the extension's artifacts are crash-resumable.
             std::remove(checkpointPath.c_str());
-            std::remove((checkpointPath + ".tmp").c_str());
             resetExtension(opt);
 
             uint64_t injectedBefore =
@@ -283,7 +281,6 @@ runMatrix(const Options &opt)
     }
 
     std::remove(checkpointPath.c_str());
-    std::remove((checkpointPath + ".tmp").c_str());
     resetExtension(opt);
     return matrix;
 }

@@ -174,8 +174,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         } catch (const std::exception &e) {
             // A journaling failure must not fail the cell — the
             // result is still good, only resumability of this cell
-            // is lost.
-            obs::checkpointAppendFailures().inc();
+            // is lost (the store counts the failure).
             util::warn(util::concat("checkpoint record failed for ",
                                     describeJob(job), ": ",
                                     e.what()));

@@ -1,11 +1,10 @@
 /**
  * @file
- * Binary (de)serialization of RunResult, shared by every durable
- * artifact that persists completed cells: the TSPC checkpoint journal
- * (experiment::Checkpoint) and the TSPS content-addressed result
- * store (svc::ResultStore). One codec means one definition of
- * "bit-identical on replay" — a result written by either layer and
- * read back reproduces the original byte for byte.
+ * Binary (de)serialization of RunResult for the TSPS result store
+ * (experiment::Checkpoint), the one durable artifact that persists
+ * completed cells, and for the wire protocol's responses. One codec
+ * means one definition of "bit-identical on replay" — a result
+ * written and read back reproduces the original byte for byte.
  *
  * The writers emit fixed-width little-endian scalars with no framing;
  * framing (length + CRC-32) and file headers belong to the owning

@@ -154,10 +154,12 @@ Registry::catalog()
          "a trace payload fails mid-decode (torn or corrupt stream)"},
         {"trace.write", "trace::saveFile",
          "writing the trace temp file fails before publish"},
-        {"checkpoint.append", "experiment::Checkpoint",
-         "writing the checkpoint journal's temp file fails"},
-        {"checkpoint.rename", "experiment::Checkpoint",
-         "the atomic tmp->journal rename publish fails"},
+        {"store.append", "experiment::Checkpoint",
+         "appending a record to the result store file fails"},
+        {"store.load", "experiment::Checkpoint",
+         "opening or replaying the on-disk result store fails"},
+        {"store.lock", "experiment::Checkpoint",
+         "taking the result store's file lock fails"},
         {"lab.memo_init", "experiment::Lab",
          "materializing an application's traces fails"},
         {"pool.dispatch", "util::ThreadPool",
@@ -175,12 +177,6 @@ Registry::catalog()
          "admitting a request to the bounded job queue fails"},
         {"svc.dequeue", "svc::Daemon",
          "a worker dequeuing the next request fails"},
-        {"store.put", "svc::ResultStore",
-         "persisting a result record to the store fails"},
-        {"store.load", "svc::ResultStore",
-         "opening or replaying the on-disk result store fails"},
-        {"store.lock", "svc::ResultStore",
-         "taking the store's advisory file lock fails"},
         {"net.accept", "svc::Server",
          "accepting a client connection fails"},
         {"net.read", "svc::Server",

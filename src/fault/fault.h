@@ -7,13 +7,13 @@
  * and nothing proves recovery machinery like provoking the failure on
  * purpose. A named injection site is placed at each seam with
  *
- *     TSP_FAULT_POINT("checkpoint.rename");
+ *     TSP_FAULT_POINT("store.append");
  *
  * and does nothing until a fault is armed. Arming is deterministic:
  * one spec selects a site, the hit ordinal at which it fires, and the
  * failure kind —
  *
- *     TSP_FAULT=checkpoint.rename:1:error    (env, any tsp binary)
+ *     TSP_FAULT=store.append:1:error    (env, any tsp binary)
  *     tsp-run sweep ... --fault trace.write:2+:fatal
  *
  * grammar `site:nth[+]:kind`: fire at the nth hit of the site
@@ -89,7 +89,7 @@ Kind kindFromName(const std::string &name);
 /** Catalog metadata of one injection site. */
 struct SiteInfo
 {
-    std::string name;   //!< dotted lowercase, e.g. "checkpoint.rename"
+    std::string name;   //!< dotted lowercase, e.g. "store.append"
     std::string owner;  //!< the layer hosting the seam
     std::string help;   //!< what failing here simulates
 };
@@ -107,7 +107,7 @@ struct FaultSpec
 };
 
 /**
- * Parse "site:nth[+]:kind" (e.g. "checkpoint.append:2:error",
+ * Parse "site:nth[+]:kind" (e.g. "store.append:2:error",
  * "trace.write:1+:fatal"). FatalError on malformed specs, unknown
  * kinds, unknown (un-cataloged) sites, or nth == 0.
  */

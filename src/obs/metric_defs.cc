@@ -89,12 +89,20 @@ TSP_OBS_COUNTER(sweepCellsFailed, "sweep.cells_failed",
                 "experiment::ParallelRunner",
                 "unique cells that ended in a failed Outcome")
 
-TSP_OBS_COUNTER(checkpointAppends, "checkpoint.appends",
+TSP_OBS_COUNTER(storeHits, "store.hits", "experiment::Checkpoint",
+                "result lookups served from the store")
+TSP_OBS_COUNTER(storeMisses, "store.misses", "experiment::Checkpoint",
+                "result lookups that missed the store")
+TSP_OBS_COUNTER(storeAppends, "store.appends", "experiment::Checkpoint",
+                "records appended to the store file")
+TSP_OBS_COUNTER(storeAppendFailures, "store.append_failures",
                 "experiment::Checkpoint",
-                "journal records persisted (atomic publishes)")
-TSP_OBS_COUNTER(checkpointAppendFailures, "checkpoint.append_failures",
+                "records whose append failed after bounded retry "
+                "(kept resident)")
+TSP_OBS_COUNTER(storeLockWaits, "store.lock_waits",
                 "experiment::Checkpoint",
-                "journal appends that failed after bounded retry")
+                "file-lock acquisitions that had to wait for another "
+                "process")
 
 TSP_OBS_COUNTER(simRuns, "sim.runs", "sim::Machine",
                 "completed simulate() calls")
@@ -186,16 +194,6 @@ TSP_OBS_COUNTER(netConnectionsReaped, "net.reaped", "svc::Server",
 TSP_OBS_COUNTER(netReconnects, "net.reconnects", "svc::Client",
                 "transport failures answered by reconnect-and-reissue")
 
-TSP_OBS_COUNTER(storeHits, "store.hits", "svc::ResultStore",
-                "result lookups served from the store")
-TSP_OBS_COUNTER(storeMisses, "store.misses", "svc::ResultStore",
-                "result lookups that missed the store")
-TSP_OBS_COUNTER(storePuts, "store.puts", "svc::ResultStore",
-                "result records persisted (atomic publishes)")
-TSP_OBS_COUNTER(storeLockWaits, "store.lock_waits", "svc::ResultStore",
-                "advisory-lock acquisitions that had to wait for "
-                "another process")
-
 TSP_OBS_COUNTER(faultInjected, "fault.injected", "fault::Registry",
                 "faults the injection framework actually fired")
 TSP_OBS_GAUGE(faultSitesRegistered, "fault.sites", "fault::Registry",
@@ -228,8 +226,11 @@ allMetrics()
     sweepCellsExecuted();
     sweepCellsFromCheckpoint();
     sweepCellsFailed();
-    checkpointAppends();
-    checkpointAppendFailures();
+    storeHits();
+    storeMisses();
+    storeAppends();
+    storeAppendFailures();
+    storeLockWaits();
     simRuns();
     simRunMillis();
     simInstructions();
@@ -264,10 +265,6 @@ allMetrics()
     netMalformedFrames();
     netConnectionsReaped();
     netReconnects();
-    storeHits();
-    storeMisses();
-    storePuts();
-    storeLockWaits();
     faultInjected();
     faultSitesRegistered();
     benchWallMillis();

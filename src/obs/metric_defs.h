@@ -48,8 +48,11 @@ Counter &sweepCellsFromCheckpoint();
 Counter &sweepCellsFailed();
 
 // ----------------------------------------- experiment::Checkpoint
-Counter &checkpointAppends();        //!< journal records persisted
-Counter &checkpointAppendFailures(); //!< appends that failed after retry
+Counter &storeHits();             //!< lookups served from the store
+Counter &storeMisses();           //!< lookups that missed the store
+Counter &storeAppends();          //!< records appended to the file
+Counter &storeAppendFailures();   //!< records whose append failed
+Counter &storeLockWaits();        //!< contended file-lock waits
 
 // ------------------------------------------------------- sim::Machine
 Counter &simRuns();               //!< completed simulate() calls
@@ -94,12 +97,6 @@ Counter &netFramesOut();           //!< wire frames sent (server)
 Counter &netMalformedFrames();     //!< malformed streams rejected
 Counter &netConnectionsReaped();   //!< idle/stalled connections reaped
 Counter &netReconnects();          //!< client reconnect-and-reissues
-
-// ---------------------------------------------------- svc::ResultStore
-Counter &storeHits();             //!< lookups served from the store
-Counter &storeMisses();           //!< lookups that missed the store
-Counter &storePuts();             //!< result records persisted
-Counter &storeLockWaits();        //!< contended advisory-lock waits
 
 // ----------------------------------------------------- fault::Registry
 Counter &faultInjected();         //!< faults actually injected

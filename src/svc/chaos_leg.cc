@@ -37,7 +37,7 @@ hexBits(double v)
 
 /**
  * Two fixed two-cell studies over the first standard machine point:
- * enough to hit svc.admit and svc.dequeue per request, store.put per
+ * enough to hit svc.admit and svc.dequeue per request, store.append per
  * fresh cell, and the duplicate cell exercises the store dedup path.
  */
 std::vector<StudyRequest>
@@ -137,8 +137,6 @@ chaosLeg(workload::AppId app, uint32_t scale)
     };
     extension.reset = [](const std::string &workDir) {
         std::remove(storePath(workDir).c_str());
-        std::remove((storePath(workDir) + ".tmp").c_str());
-        std::remove((storePath(workDir) + ".lock").c_str());
     };
     return extension;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * The svc leg of the chaos matrix: a small daemon-with-store run that
- * deterministically reaches all four service fault sites (svc.admit,
- * svc.dequeue, store.put, store.load), plugged into
+ * The svc leg of the chaos matrix: a small daemon-with-store run over
+ * the wire that deterministically reaches the service fault sites
+ * (svc.admit, svc.dequeue, net.*) and the result store's, plugged into
  * experiment::chaos::Options::extension. Lives in svc — not in the
  * chaos harness itself — because experiment cannot depend on the
  * layer above it.

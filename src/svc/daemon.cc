@@ -82,8 +82,8 @@ Daemon::Daemon(const Config &config) : config_(config), lab_(config.scale)
         config_.workers = 1;
     paused_ = config_.startPaused;
     if (!config_.storePath.empty())
-        store_ = std::make_unique<ResultStore>(config_.storePath,
-                                               config_.scale);
+        store_ = std::make_unique<experiment::Checkpoint>(
+            config_.storePath, config_.scale);
     workers_.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -369,14 +369,13 @@ Daemon::execute(Pending &pending)
                     ++response.executed;
                     if (store_) {
                         try {
-                            store_->put(job, result);
+                            store_->record(job, result);
                         } catch (const std::exception &e) {
                             // The computed result is still good; it
-                            // stays resident in the store's memory
-                            // image and the next successful put
-                            // re-publishes it.
+                            // stays resident in the store and the
+                            // next successful record appends it.
                             util::warn(util::concat(
-                                "result store put failed "
+                                "result store append failed "
                                 "(result kept): ",
                                 e.what()));
                         }

@@ -24,9 +24,10 @@
  *    until the service is idle and joins the workers (the SIGTERM
  *    path of tsp-serve);
  *  - *durable memoization* — with a store path configured, completed
- *    cells are published to a crash-safe ResultStore and duplicate
- *    cells (within or across process lifetimes) are disk cache hits,
- *    served bit-identically.
+ *    cells are appended to a crash-safe result store
+ *    (experiment::Checkpoint, the file format a sweep's --checkpoint
+ *    writes too) and duplicate cells (within or across process
+ *    lifetimes) are disk cache hits, served bit-identically.
  */
 
 #ifndef TSP_SVC_DAEMON_H
@@ -44,10 +45,10 @@
 #include <thread>
 #include <vector>
 
+#include "experiment/checkpoint.h"
 #include "experiment/lab.h"
 #include "experiment/outcome.h"
 #include "experiment/parallel.h"
-#include "svc/result_store.h"
 
 namespace tsp::svc {
 
@@ -169,7 +170,10 @@ class Daemon
         /** Deadline for requests that do not carry one; 0 = none. */
         std::chrono::milliseconds defaultDeadline{0};
 
-        /** Persist results here; empty = in-memory memoization only. */
+        /**
+         * Persist results to this result store (a sweep checkpoint
+         * file works too); empty = in-memory memoization only.
+         */
         std::string storePath;
 
         /** Poll period of the per-request deadline watchdog. */
@@ -240,7 +244,7 @@ class Daemon
     experiment::Lab &lab() { return lab_; }
 
     /** The result store, or nullptr when running without one. */
-    ResultStore *store() { return store_.get(); }
+    experiment::Checkpoint *store() { return store_.get(); }
 
     const Config &config() const { return config_; }
 
@@ -259,7 +263,7 @@ class Daemon
 
     Config config_;
     experiment::Lab lab_;
-    std::unique_ptr<ResultStore> store_;
+    std::unique_ptr<experiment::Checkpoint> store_;
 
     mutable std::mutex mutex_;
     std::condition_variable workCv_;

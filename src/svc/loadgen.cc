@@ -78,7 +78,7 @@ runLocally(Daemon &daemon, const StudyRequest &request)
     for (size_t i = 0; i < request.jobs.size(); ++i) {
         const RunJob &job = request.jobs[i];
         try {
-            if (ResultStore *store = daemon.store()) {
+            if (experiment::Checkpoint *store = daemon.store()) {
                 if (std::optional<RunResult> cached =
                         store->lookup(job)) {
                     response.outcomes[i] =
@@ -92,12 +92,12 @@ runLocally(Daemon &daemon, const StudyRequest &request)
                 daemon.lab().run(job.app, job.alg, job.point,
                                  job.infiniteCache, job.memSystem);
             ++response.executed;
-            if (ResultStore *store = daemon.store()) {
+            if (experiment::Checkpoint *store = daemon.store()) {
                 try {
-                    store->put(job, result);
+                    store->record(job, result);
                 } catch (const std::exception &e) {
                     util::warn(util::concat(
-                        "local-fallback store put failed (result "
+                        "local-fallback store append failed (result "
                         "kept): ",
                         e.what()));
                 }

@@ -206,12 +206,14 @@ void
 Server::rejectAndClose(int fd, wire::RejectCode code,
                        const std::string &reason)
 {
+    // Counted before the client can see the Reject, so a client that
+    // has been turned away always finds its rejection in counters().
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    obs::netConnectionsRejected().inc();
     sendBestEffort(fd, wire::encodeFrame(wire::FrameType::Reject,
                                          wire::encodeReject(code,
                                                             reason)));
     ::close(fd);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs::netConnectionsRejected().inc();
 }
 
 void

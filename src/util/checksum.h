@@ -1,8 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to
- * integrity-check on-disk artifacts: TSPT trace payloads and TSPC
- * checkpoint journal records. A checksum is not a signature — it
+ * integrity-check on-disk artifacts: TSPT trace payloads and TSPS
+ * result store records. A checksum is not a signature — it
  * detects corruption (torn writes, bit rot, truncation), not
  * tampering, which is all the robustness layer needs.
  */

@@ -14,8 +14,8 @@ namespace tsp::util {
 FileLock::FileLock(const std::string &path, Mode mode)
 {
     fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    fatalIf(fd_ < 0, "cannot open lock file " + path + ": " +
-                         std::strerror(errno));
+    fatalIf(fd_ < 0,
+            "cannot open " + path + ": " + std::strerror(errno));
 
     int op = mode == Mode::Shared ? LOCK_SH : LOCK_EX;
     // Try without blocking first so contention is observable, then

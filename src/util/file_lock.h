@@ -1,15 +1,10 @@
 /**
  * @file
- * Advisory file locking (BSD flock) for artifacts shared between
- * processes. The result store takes a shared lock to load and an
- * exclusive lock around its read-merge-publish cycle, so several
- * daemons — or a daemon plus a CLI — can share one TSPS file without
- * a racing writer dropping the other's records.
- *
- * The lock lives on a dedicated sidecar file (`<artifact>.lock`)
- * rather than the artifact itself: the artifact is published by
- * atomic rename, which replaces its inode, and a lock held on a
- * replaced inode protects nothing.
+ * Advisory file locking (BSD flock) for files shared between
+ * processes. The result store (experiment::Checkpoint) takes a shared
+ * lock to load and an exclusive lock around each append, both on the
+ * data file itself, so several processes can share one store without
+ * a racing writer dropping or duplicating the other's records.
  *
  * Advisory means cooperating: every writer must take the lock, and a
  * process that bypasses it is not stopped. Locks are released by the
@@ -25,9 +20,10 @@
 namespace tsp::util {
 
 /**
- * RAII advisory flock on @p path (created if absent). Construction
- * blocks until the lock is granted; destruction releases it. Throws
- * FatalError when the lock file cannot be opened or locked.
+ * RAII advisory flock on @p path, opened read-write (created if
+ * absent). Construction blocks until the lock is granted; destruction
+ * releases it and closes the file. Throws FatalError when the file
+ * cannot be opened or locked.
  */
 class FileLock
 {
@@ -42,6 +38,9 @@ class FileLock
 
     FileLock(const FileLock &) = delete;
     FileLock &operator=(const FileLock &) = delete;
+
+    /** The locked file's descriptor, valid while the lock is held. */
+    int fd() const { return fd_; }
 
     /**
      * True when the lock was contended — another process held a

@@ -30,8 +30,9 @@ TEST(Chaos, EveryCellOfTheMatrixPassesTheTrifecta)
     options.jobs = 4;
     options.workDir = testing::TempDir();
     options.verbose = false;
-    // The svc daemon/store leg makes the four service fault sites
-    // (svc.admit, svc.dequeue, store.put, store.load) reachable.
+    // The svc daemon leg makes the service fault sites (svc.admit,
+    // svc.dequeue, net.*) reachable; the result store's sites
+    // (store.append, store.load, store.lock) fire on both legs.
     options.extension = svc::chaosLeg(options.app, options.scale);
 
     MatrixResult matrix = runMatrix(options);

@@ -7,7 +7,7 @@
  * behind — fails here.
  *
  * The table rows look like:
- *   | `checkpoint.rename` | `experiment::Checkpoint` | ... |
+ *   | `store.append` | `experiment::Checkpoint` | ... |
  */
 
 #include <fstream>

@@ -103,12 +103,12 @@ hitSimStep()
 TEST(FaultSpec, ParsesOneShotErrorSpec)
 {
     fault::FaultSpec spec =
-        fault::parseFaultSpec("checkpoint.append:2:error");
-    EXPECT_EQ(spec.site, "checkpoint.append");
+        fault::parseFaultSpec("store.append:2:error");
+    EXPECT_EQ(spec.site, "store.append");
     EXPECT_EQ(spec.nth, 2u);
     EXPECT_FALSE(spec.persistent);
     EXPECT_EQ(spec.kind, fault::Kind::Error);
-    EXPECT_EQ(spec.describe(), "checkpoint.append:2:error");
+    EXPECT_EQ(spec.describe(), "store.append:2:error");
 }
 
 TEST(FaultSpec, ParsesPersistentFatalSpec)
@@ -161,7 +161,7 @@ TEST(FaultSpec, KindNamesRoundTrip)
 
 TEST(FaultRegistry, CatalogPinsTheSiteCount)
 {
-    EXPECT_EQ(fault::Registry::catalog().size(), 20u)
+    EXPECT_EQ(fault::Registry::catalog().size(), 18u)
         << "fault site added or removed: update fault/fault.cc, "
            "docs/robustness.md and this count together";
     for (const fault::SiteInfo &site : fault::Registry::catalog()) {

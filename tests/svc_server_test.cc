@@ -458,7 +458,6 @@ TEST(SvcServer, ReissuedRequestLandsAsStoreCacheHits)
 {
     std::string path = tempPath("svc_server_dedup.tsps");
     std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
 
     Daemon::Config config = daemonConfig();
     config.storePath = path;
@@ -485,7 +484,6 @@ TEST(SvcServer, ReissuedRequestLandsAsStoreCacheHits)
     server.stop();
     daemon.drain();
     std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
 }
 
 } // namespace

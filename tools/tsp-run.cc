@@ -38,9 +38,10 @@
  *                      cells of one application advance together over
  *                      its shared traces (bit-identical results;
  *                      overrides TSP_BATCH; 1 = off)
- *   --checkpoint PATH  journal completed cells to PATH; a re-run
- *                      replays the journal and simulates only the
- *                      missing cells (crash-safe resume)
+ *   --checkpoint PATH  journal completed cells to the result store
+ *                      PATH; a re-run replays it and simulates only
+ *                      the missing cells (crash-safe resume). The
+ *                      same file works as `tsp-serve --store PATH`
  *   --deadline MS      watchdog: warn when one cell runs longer than
  *                      MS milliseconds
  *   --metrics-out PATH enable the metrics registry and export it as
@@ -166,6 +167,8 @@ usage()
         "  --switch N    --scale N      --infinite --profile\n"
         "  --jobs N      --metrics-out PATH  --trace-out PATH\n"
         "  --fault site:nth[+]:kind    --paranoid N\n"
+        "  --checkpoint PATH  result store to resume from and journal\n"
+        "                to (the same file as tsp_serve --store)\n"
         "  --batch N     lanes per lockstep simulation batch in sweep\n"
         "                mode (default $TSP_BATCH, else 1 = off)\n"
         "algorithms: ");

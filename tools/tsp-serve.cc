@@ -13,7 +13,9 @@
  *   --workers N          daemon worker threads (default 2)
  *   --capacity N         bounded queue capacity (default 64)
  *   --deadline MS        default per-request deadline (0 = none)
- *   --store PATH         crash-safe result store (empty = memory only)
+ *   --store PATH         crash-safe result store (empty = memory
+ *                        only); the same file as `tsp-run sweep
+ *                        --checkpoint PATH`, whose cells it serves
  *   --clients N          closed-loop clients (default 4)
  *   --requests N         requests per client (default 16)
  *   --jobs-per-request N cells per request (default 1)
@@ -88,6 +90,8 @@ usage()
         "  --metrics-out PATH\n"
         "  --listen PORT  --connect PORT  --host ADDR\n"
         "  --max-connections N\n"
+        "  --store PATH   result store to serve from and append to\n"
+        "                 (the same file as tsp_run --checkpoint)\n"
         "see docs/service.md for semantics and capacity tuning\n");
     return 2;
 }
