@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the paper-reproduction bench binaries: the
- * execution-time figure renderer (Figures 2-4), the scale/jobs
+ * execution-time figure (Figures 2-4), the scale/jobs
  * banner, and wall-clock timing lines (so the parallel experiment
  * engine's speedup is visible in BENCH_* output).
  */
@@ -10,9 +10,7 @@
 #define TSP_BENCH_BENCH_COMMON_H
 
 #include <cstdio>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "core/algorithms.h"
 #include "experiment/lab.h"
@@ -22,7 +20,6 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "util/format.h"
-#include "util/table.h"
 #include "util/thread_pool.h"
 #include "workload/suite.h"
 
@@ -74,11 +71,9 @@ banner(const std::string &what, experiment::Lab &lab,
 }
 
 /**
- * Render an execution-time figure (the layout of Figures 2-4): one
- * row per placement algorithm, one column per (processors, contexts)
- * machine point, each cell the execution time normalized to RANDOM at
- * that point. Prints the sweep's wall-clock line. When TSP_OUT names
- * a directory, also writes <csvName>.csv there.
+ * Run and print an execution-time figure (the layout of Figures 2-4,
+ * see experiment::renderSweepTables) with the sweep's wall-clock
+ * line. When TSP_OUT names a directory, also writes <csvName>.csv.
  *
  * Runs the sweep in degraded (fault-isolating) mode: a cell whose
  * simulation throws renders as FAILED and the failure summary prints
@@ -105,35 +100,8 @@ printExecTimeFigure(const std::string &title, experiment::Lab &lab,
         }
     }
 
-    // Column order: machine points in sweep order.
-    std::vector<std::string> cols;
-    std::map<std::string, size_t> colIndex;
-    for (const auto &pt : points) {
-        std::string label = pt.point.label();
-        if (!colIndex.count(label)) {
-            colIndex[label] = cols.size();
-            cols.push_back(label);
-        }
-    }
-
-    util::TextTable table(title);
-    std::vector<std::string> header{"algorithm"};
-    header.insert(header.end(), cols.begin(), cols.end());
-    table.setHeader(header);
-
-    for (placement::Algorithm alg : placement::figureAlgorithms()) {
-        std::vector<std::string> row{placement::algorithmName(alg)};
-        row.resize(1 + cols.size());
-        for (const auto &pt : points) {
-            if (pt.alg != alg)
-                continue;
-            row[1 + colIndex[pt.point.label()]] = pt.failed
-                ? "FAILED"
-                : util::fmtFixed(pt.normalizedToRandom, 3);
-        }
-        table.addRow(row);
-    }
-    table.print();
+    std::printf("%s",
+                experiment::renderSweepTables(title, points).c_str());
     std::printf("\n(execution time normalized to RANDOM; < 1.000 is "
                 "faster than RANDOM)\n");
     std::string summary = experiment::renderFailureSummary(failures);

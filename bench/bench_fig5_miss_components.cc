@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "experiment/report.h"
 #include "sim/results.h"
+#include "util/table.h"
 
 int
 main()
@@ -35,7 +36,7 @@ main()
         Algorithm::MinShare, Algorithm::LoadBal,
     };
     bench::WallTimer timer;
-    auto rows = experiment::missComponentStudy(lab, app, algs);
+    auto rows = experiment::execTimeStudy(lab, app, algs);
     bench::printWallClock("Figure 5 sweep", timer);
 
     util::TextTable table("Figure 5 (miss counts; comp+inval is the "

@@ -251,7 +251,7 @@ BM_ParallelSweepJobs(benchmark::State &state)
     for (auto _ : state) {
         auto points = experiment::execTimeStudy(
             lab, workload::AppId::Water,
-            placement::figureAlgorithms(), jobs);
+            placement::figureAlgorithms(), {.jobs = jobs});
         sims += points.size();
         benchmark::DoNotOptimize(points.data());
     }

@@ -97,7 +97,7 @@ main()
 
     // ---- 3: miss-component invariance (Water) ------------------------
     {
-        auto rows = experiment::missComponentStudy(
+        auto rows = experiment::execTimeStudy(
             lab, AppId::Water,
             {Algorithm::Random, Algorithm::ShareRefs,
              Algorithm::MinShare, Algorithm::LoadBal});

@@ -14,6 +14,7 @@
 
 #include "experiment/lab.h"
 #include "util/format.h"
+#include "util/logging.h"
 #include "util/table.h"
 #include "workload/suite.h"
 
@@ -48,7 +49,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < pairs.size() && i < 10; ++i) {
         const auto &p = pairs[i];
         table.addRow({
-            "(" + std::to_string(p.a) + "," + std::to_string(p.b) + ")",
+            util::concat("(", p.a, ",", p.b, ")"),
             util::fmtCompact(p.dyn),
             util::fmtCompact(p.stat),
             p.dyn > 0 ? util::fmtRatio(p.stat / p.dyn, 0) : "inf",

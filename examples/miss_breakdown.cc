@@ -13,6 +13,7 @@
 
 #include "experiment/lab.h"
 #include "util/format.h"
+#include "util/logging.h"
 #include "util/table.h"
 #include "workload/suite.h"
 
@@ -53,7 +54,7 @@ main(int argc, char **argv)
                   static_cast<double>(ps.finishTime)
             : 0.0;
         cycles.addRow({
-            "P" + std::to_string(p),
+            util::concat("P", p),
             util::fmtThousands(static_cast<int64_t>(ps.busyCycles)),
             util::fmtThousands(static_cast<int64_t>(ps.switchCycles)),
             util::fmtThousands(static_cast<int64_t>(ps.idleCycles)),
@@ -70,7 +71,7 @@ main(int argc, char **argv)
     for (size_t p = 0; p < stats.procs.size(); ++p) {
         const auto &ps = stats.procs[p];
         misses.addRow({
-            "P" + std::to_string(p),
+            util::concat("P", p),
             util::fmtThousands(static_cast<int64_t>(ps.memRefs)),
             util::fmtThousands(static_cast<int64_t>(ps.hits)),
             std::to_string(ps.missCount(sim::MissKind::Compulsory)),

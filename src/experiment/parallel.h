@@ -146,7 +146,7 @@ struct SweepOptions
      * from it to simulate that cell failing. Never set in production
      * paths.
      */
-    std::function<void(const RunJob &)> faultInjector;
+    std::function<void(const RunJob &)> faultInjector = {};
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "experiment/report.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 
@@ -7,6 +8,8 @@
 #include "fault/fault.h"
 #include "util/error.h"
 #include "util/format.h"
+#include "util/logging.h"
+#include "util/table.h"
 #include "workload/suite.h"
 
 namespace tsp::experiment {
@@ -104,6 +107,18 @@ num(double x)
     return util::fmtFixed(x, 6);
 }
 
+/** Append @p value to @p seen unless already there; returns its index. */
+template <typename T>
+size_t
+indexOf(std::vector<T> &seen, const T &value)
+{
+    auto it = std::find(seen.begin(), seen.end(), value);
+    if (it != seen.end())
+        return static_cast<size_t>(it - seen.begin());
+    seen.push_back(value);
+    return seen.size() - 1;
+}
+
 /** The "status" CSV cell of a row: "ok" or the failure message. */
 std::string
 statusCell(bool failed, const std::string &error)
@@ -140,6 +155,64 @@ writeFailuresCsv(const std::string &path,
                  f.job.infiniteCache ? "1" : "0",
                  memSystemName(f.job.memSystem), f.error});
     }
+}
+
+std::string
+renderSweepTables(const std::string &title,
+                  const std::vector<SweepRow> &rows)
+{
+    std::vector<MemSystem> systems;
+    std::vector<placement::Algorithm> algs;
+    std::vector<std::string> header{"algorithm"};
+    for (const SweepRow &row : rows) {
+        indexOf(systems, row.memSystem);
+        indexOf(algs, row.alg);
+        indexOf(header, row.point.label());
+    }
+
+    std::string out;
+    for (MemSystem ms : systems) {
+        std::vector<std::vector<std::string>> lines;
+        for (placement::Algorithm alg : algs) {
+            lines.push_back({placement::algorithmName(alg)});
+            lines.back().resize(header.size());
+        }
+        const SweepRow *random = nullptr;  // last healthy RANDOM row
+        for (const SweepRow &row : rows) {
+            if (row.memSystem != ms)
+                continue;
+            auto &line = lines[indexOf(algs, row.alg)];
+            line[indexOf(header, row.point.label())] =
+                row.failed ? "FAILED"
+                           : util::fmtFixed(row.normalizedToRandom, 3);
+            if (row.alg == placement::Algorithm::Random && !row.failed)
+                random = &row;
+        }
+        util::TextTable table(systems.size() > 1
+                                  ? title + " on " + memSystemName(ms)
+                                  : title);
+        table.setHeader(header);
+        for (auto &line : lines)
+            table.addRow(std::move(line));
+        if (!out.empty())
+            out += "\n";
+        out += table.render();
+
+        // Every algorithm sees the same hierarchy; RANDOM speaks for it.
+        const uint64_t lookups =
+            random ? random->l2Hits + random->l2Misses : 0;
+        if (lookups || (random && random->netQueueingCycles)) {
+            out += util::concat(
+                "  at ", random->point.label(), ": L2 hit rate ",
+                lookups ? util::fmtPercent(
+                              static_cast<double>(random->l2Hits) /
+                              static_cast<double>(lookups))
+                        : std::string("n/a"),
+                " (", lookups, " lookups), interconnect queueing ",
+                random->netQueueingCycles, " cycles\n");
+        }
+    }
+    return out;
 }
 
 void
@@ -187,7 +260,7 @@ writeHierarchyCsv(const std::string &path,
 
 void
 writeMissComponentsCsv(const std::string &path,
-                       const std::vector<MissComponentRow> &rows)
+                       const std::vector<ExecTimePoint> &rows)
 {
     CsvWriter csv(path);
     csv.header({"algorithm", "processors", "contexts", "compulsory",
@@ -232,12 +305,14 @@ writeTable5Csv(const std::string &path,
 {
     CsvWriter csv(path);
     csv.header({"application", "processors", "best_static_algorithm",
-                "best_static_vs_loadbal", "coherence_vs_loadbal"});
+                "best_static_vs_loadbal", "coherence_vs_loadbal",
+                "status"});
     for (const auto &cell : cells) {
         csv.row({cell.app, std::to_string(cell.processors),
                  placement::algorithmName(cell.bestStatic),
                  num(cell.bestStaticVsLoadBal),
-                 num(cell.coherenceVsLoadBal)});
+                 num(cell.coherenceVsLoadBal),
+                 statusCell(cell.failed, cell.error)});
     }
 }
 

@@ -70,6 +70,18 @@ std::string renderFailureSummary(
 void writeFailuresCsv(const std::string &path,
                       const std::vector<JobFailure> &failures);
 
+/**
+ * Render placement-sweep rows as the text tables of Figures 2-4: one
+ * line per algorithm and one column per machine point, both in row
+ * order, each cell the execution time normalized to RANDOM (or
+ * FAILED). Rows spanning several memory systems render one table per
+ * system, titled "<title> on <system>" and separated by a blank line.
+ * Under a system's table, its last healthy RANDOM row reports the L2
+ * hit rate and interconnect queueing when either is non-zero.
+ */
+std::string renderSweepTables(const std::string &title,
+                              const std::vector<SweepRow> &rows);
+
 /** Write an execution-time study (Figures 2-4 layout) as CSV. */
 void writeExecTimeCsv(const std::string &path,
                       const std::vector<ExecTimePoint> &points);
@@ -78,9 +90,9 @@ void writeExecTimeCsv(const std::string &path,
 void writeHierarchyCsv(const std::string &path,
                        const std::vector<HierarchyPoint> &points);
 
-/** Write a miss-component study (Figure 5 layout) as CSV. */
+/** Write an execution-time study's miss components (Figure 5 layout). */
 void writeMissComponentsCsv(const std::string &path,
-                            const std::vector<MissComponentRow> &rows);
+                            const std::vector<ExecTimePoint> &rows);
 
 /** Write Table 4 rows as CSV. */
 void writeTable4Csv(const std::string &path,

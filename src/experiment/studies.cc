@@ -1,9 +1,6 @@
 #include "experiment/studies.h"
 
-#include <map>
-
 #include "experiment/parallel.h"
-#include "sim/results.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -15,272 +12,131 @@ using workload::AppId;
 namespace {
 
 /**
- * Post-process a fan-out's outcomes: in strict mode (no failures
- * sink) rethrow the first (input-order) failure; in degraded mode
- * append every failed job to the sink and let the caller mark cells.
+ * Run @p fanout once over a ParallelRunner and apply the failure
+ * policy: in strict mode (no failures sink) rethrow the first
+ * (input-order) failure; in degraded mode append every failed job to
+ * the sink and let the caller mark cells. @p cellMillis receives each
+ * job's wall time (copied to the caller's cellMillisOut too).
  */
-void
-collectFailures(const std::vector<RunJob> &fanout,
-                const std::vector<Outcome<RunResult>> &outcomes,
-                std::vector<JobFailure> *failures)
+std::vector<Outcome<RunResult>>
+runFanout(Lab &lab, const std::vector<RunJob> &fanout,
+          const SweepOptions &options, std::vector<double> &cellMillis)
 {
+    SweepOptions runOptions = options;
+    runOptions.cellMillisOut = &cellMillis;
+    auto outcomes =
+        ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
     for (size_t i = 0; i < fanout.size(); ++i) {
         if (outcomes[i].ok())
             continue;
-        if (!failures) {
+        if (!options.failures) {
             util::fatal("sweep job " + describeJob(fanout[i]) +
                         " failed: " + outcomes[i].error());
         }
-        failures->push_back({fanout[i], outcomes[i].error()});
+        options.failures->push_back({fanout[i], outcomes[i].error()});
     }
+    if (options.cellMillisOut)
+        *options.cellMillisOut = cellMillis;
+    return outcomes;
+}
+
+/**
+ * The placement sweep behind Figures 2-5 and the hierarchy study:
+ * every algorithm in @p algs at every standard machine point under
+ * every memory system in @p systems, normalized to RANDOM under the
+ * same system at the same point.
+ *
+ * Job layout (it fixes the pool schedule and the journal's append
+ * order): per (system, point), the RANDOM baseline, then every
+ * non-RANDOM algorithm. RANDOM rows reuse the baseline.
+ */
+std::vector<SweepRow>
+placementSweep(Lab &lab, AppId app, const std::vector<Algorithm> &algs,
+               const std::vector<MemSystem> &systems,
+               const SweepOptions &options)
+{
+    const auto sweep = standardSweep(
+        static_cast<uint32_t>(lab.analysis(app).threadCount()));
+
+    // cellOf[r] is row r's job; baselineOf[r] its RANDOM baseline's.
+    std::vector<RunJob> fanout;
+    std::vector<size_t> cellOf, baselineOf;
+    for (MemSystem ms : systems) {
+        for (const MachinePoint &point : sweep) {
+            const size_t baseline = fanout.size();
+            fanout.push_back({app, Algorithm::Random, point, false, ms});
+            for (Algorithm alg : algs) {
+                baselineOf.push_back(baseline);
+                if (alg == Algorithm::Random) {
+                    cellOf.push_back(baseline);
+                } else {
+                    cellOf.push_back(fanout.size());
+                    fanout.push_back({app, alg, point, false, ms});
+                }
+            }
+        }
+    }
+
+    std::vector<double> cellMillis;
+    auto outcomes = runFanout(lab, fanout, options, cellMillis);
+
+    std::vector<SweepRow> out(cellOf.size());
+    for (size_t r = 0; r < out.size(); ++r) {
+        const RunJob &job = fanout[cellOf[r]];
+        const auto &oc = outcomes[cellOf[r]];
+        const auto &baseline = outcomes[baselineOf[r]];
+        SweepRow &row = out[r];
+        row.memSystem = job.memSystem;
+        row.alg = algs[r % algs.size()];
+        row.point = job.point;
+        row.wallMs = cellMillis[cellOf[r]];
+        if (!oc.ok()) {
+            row.failed = true;
+            row.error = oc.error();
+            continue;
+        }
+        const RunResult &res = oc.value();
+        const RunMissSummary misses = res.missSummary();
+        row.cycles = res.executionTime;
+        row.loadImbalance = res.loadImbalance;
+        row.compulsory = misses.compulsory;
+        row.intraConflict = misses.intraConflict;
+        row.interConflict = misses.interConflict;
+        row.invalidation = misses.invalidation;
+        row.refs = misses.memRefs;
+        row.l2Hits = res.stats.l2Hits;
+        row.l2Misses = res.stats.l2Misses;
+        row.netQueueingCycles = res.stats.networkQueueingCycles;
+        if (!baseline.ok()) {
+            // The cell ran but has nothing to normalize to.
+            row.failed = true;
+            row.error = "RANDOM baseline failed: " + baseline.error();
+            continue;
+        }
+        const uint64_t randomCycles = baseline.value().executionTime;
+        util::fatalIf(randomCycles == 0,
+                      "RANDOM baseline ran for zero cycles");
+        row.normalizedToRandom = static_cast<double>(row.cycles) /
+                                 static_cast<double>(randomCycles);
+    }
+    return out;
 }
 
 } // namespace
 
-std::vector<ExecTimePoint>
-execTimeStudy(Lab &lab, AppId app,
-              const std::vector<Algorithm> &algs,
+std::vector<SweepRow>
+execTimeStudy(Lab &lab, AppId app, const std::vector<Algorithm> &algs,
               const SweepOptions &options)
 {
-    const analysis::StaticAnalysis &an = lab.analysis(app);
-    const auto sweep =
-        standardSweep(static_cast<uint32_t>(an.threadCount()));
-
-    // Job layout: per point, the RANDOM baseline then every non-RANDOM
-    // algorithm (RANDOM rows reuse the baseline, like the serial loop
-    // always did).
-    std::vector<RunJob> fanout;
-    std::vector<size_t> randomIdx(sweep.size());
-    std::vector<std::vector<size_t>> algIdx(sweep.size());
-    for (size_t p = 0; p < sweep.size(); ++p) {
-        randomIdx[p] = fanout.size();
-        fanout.push_back({app, Algorithm::Random, sweep[p], false});
-        algIdx[p].reserve(algs.size());
-        for (Algorithm alg : algs) {
-            if (alg == Algorithm::Random) {
-                algIdx[p].push_back(randomIdx[p]);
-            } else {
-                algIdx[p].push_back(fanout.size());
-                fanout.push_back({app, alg, sweep[p], false});
-            }
-        }
-    }
-
-    // The fan-out's layout is internal, so per-cell timing goes
-    // through a local vector and lands on rows as `wallMs`.
-    std::vector<double> cellMillis;
-    SweepOptions runOptions = options;
-    runOptions.cellMillisOut = &cellMillis;
-    auto outcomes =
-        ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
-    collectFailures(fanout, outcomes, options.failures);
-    if (options.cellMillisOut)
-        *options.cellMillisOut = cellMillis;
-
-    std::vector<ExecTimePoint> out;
-    out.reserve(sweep.size() * algs.size());
-    for (size_t p = 0; p < sweep.size(); ++p) {
-        const auto &baseline = outcomes[randomIdx[p]];
-        for (size_t a = 0; a < algs.size(); ++a) {
-            const auto &oc = outcomes[algIdx[p][a]];
-            ExecTimePoint pt;
-            pt.alg = algs[a];
-            pt.point = sweep[p];
-            pt.wallMs = cellMillis[algIdx[p][a]];
-            if (!oc.ok()) {
-                pt.failed = true;
-                pt.error = oc.error();
-            } else {
-                const RunResult &r = oc.value();
-                pt.cycles = r.executionTime;
-                pt.loadImbalance = r.loadImbalance;
-                if (!baseline.ok()) {
-                    // The cell ran but has nothing to normalize to.
-                    pt.failed = true;
-                    pt.error = "RANDOM baseline failed: " +
-                               baseline.error();
-                } else {
-                    const RunResult &random = baseline.value();
-                    util::fatalIf(
-                        random.executionTime == 0,
-                        "RANDOM baseline ran for zero cycles");
-                    pt.normalizedToRandom =
-                        static_cast<double>(pt.cycles) /
-                        static_cast<double>(random.executionTime);
-                }
-            }
-            out.push_back(pt);
-        }
-    }
-    return out;
+    return placementSweep(lab, app, algs, {MemSystem::Flat1994},
+                          options);
 }
 
-std::vector<ExecTimePoint>
-execTimeStudy(Lab &lab, AppId app,
-              const std::vector<Algorithm> &algs, unsigned jobs)
-{
-    SweepOptions options;
-    options.jobs = jobs;
-    return execTimeStudy(lab, app, algs, options);
-}
-
-std::vector<MissComponentRow>
-missComponentStudy(Lab &lab, AppId app,
-                   const std::vector<Algorithm> &algs,
-                   const SweepOptions &options)
-{
-    const analysis::StaticAnalysis &an = lab.analysis(app);
-    const auto sweep =
-        standardSweep(static_cast<uint32_t>(an.threadCount()));
-
-    std::vector<RunJob> fanout;
-    fanout.reserve(sweep.size() * algs.size());
-    for (const MachinePoint &point : sweep)
-        for (Algorithm alg : algs)
-            fanout.push_back({app, alg, point, false});
-
-    std::vector<double> cellMillis;
-    SweepOptions runOptions = options;
-    runOptions.cellMillisOut = &cellMillis;
-    auto outcomes =
-        ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
-    collectFailures(fanout, outcomes, options.failures);
-    if (options.cellMillisOut)
-        *options.cellMillisOut = cellMillis;
-
-    std::vector<MissComponentRow> out;
-    out.reserve(fanout.size());
-    for (size_t i = 0; i < fanout.size(); ++i) {
-        MissComponentRow row;
-        row.alg = fanout[i].alg;
-        row.point = fanout[i].point;
-        row.wallMs = cellMillis[i];
-        if (!outcomes[i].ok()) {
-            row.failed = true;
-            row.error = outcomes[i].error();
-        } else {
-            const RunResult &r = outcomes[i].value();
-            row.compulsory =
-                r.stats.totalMissCount(sim::MissKind::Compulsory);
-            row.intraConflict =
-                r.stats.totalMissCount(sim::MissKind::IntraConflict);
-            row.interConflict =
-                r.stats.totalMissCount(sim::MissKind::InterConflict);
-            row.invalidation =
-                r.stats.totalMissCount(sim::MissKind::Invalidation);
-            row.refs = r.stats.totalMemRefs();
-        }
-        out.push_back(row);
-    }
-    return out;
-}
-
-std::vector<MissComponentRow>
-missComponentStudy(Lab &lab, AppId app,
-                   const std::vector<Algorithm> &algs, unsigned jobs)
-{
-    SweepOptions options;
-    options.jobs = jobs;
-    return missComponentStudy(lab, app, algs, options);
-}
-
-std::vector<HierarchyPoint>
-hierarchyStudy(Lab &lab, AppId app,
-               const std::vector<Algorithm> &algs,
+std::vector<SweepRow>
+hierarchyStudy(Lab &lab, AppId app, const std::vector<Algorithm> &algs,
                const SweepOptions &options)
 {
-    const analysis::StaticAnalysis &an = lab.analysis(app);
-    const auto sweep =
-        standardSweep(static_cast<uint32_t>(an.threadCount()));
-    const auto systems = allMemSystems();
-
-    // Job layout mirrors execTimeStudy, once per memory system: per
-    // (system, point), the RANDOM baseline then every non-RANDOM
-    // algorithm. RANDOM rows reuse the baseline.
-    std::vector<RunJob> fanout;
-    std::vector<std::vector<size_t>> randomIdx(systems.size());
-    std::vector<std::vector<std::vector<size_t>>> algIdx(
-        systems.size());
-    for (size_t m = 0; m < systems.size(); ++m) {
-        randomIdx[m].resize(sweep.size());
-        algIdx[m].resize(sweep.size());
-        for (size_t p = 0; p < sweep.size(); ++p) {
-            randomIdx[m][p] = fanout.size();
-            fanout.push_back({app, Algorithm::Random, sweep[p],
-                              false, systems[m]});
-            algIdx[m][p].reserve(algs.size());
-            for (Algorithm alg : algs) {
-                if (alg == Algorithm::Random) {
-                    algIdx[m][p].push_back(randomIdx[m][p]);
-                } else {
-                    algIdx[m][p].push_back(fanout.size());
-                    fanout.push_back(
-                        {app, alg, sweep[p], false, systems[m]});
-                }
-            }
-        }
-    }
-
-    std::vector<double> cellMillis;
-    SweepOptions runOptions = options;
-    runOptions.cellMillisOut = &cellMillis;
-    auto outcomes =
-        ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
-    collectFailures(fanout, outcomes, options.failures);
-    if (options.cellMillisOut)
-        *options.cellMillisOut = cellMillis;
-
-    std::vector<HierarchyPoint> out;
-    out.reserve(systems.size() * sweep.size() * algs.size());
-    for (size_t m = 0; m < systems.size(); ++m) {
-        for (size_t p = 0; p < sweep.size(); ++p) {
-            const auto &baseline = outcomes[randomIdx[m][p]];
-            for (size_t a = 0; a < algs.size(); ++a) {
-                const auto &oc = outcomes[algIdx[m][p][a]];
-                HierarchyPoint pt;
-                pt.memSystem = systems[m];
-                pt.alg = algs[a];
-                pt.point = sweep[p];
-                pt.wallMs = cellMillis[algIdx[m][p][a]];
-                if (!oc.ok()) {
-                    pt.failed = true;
-                    pt.error = oc.error();
-                } else {
-                    const RunResult &r = oc.value();
-                    pt.cycles = r.executionTime;
-                    pt.l2Hits = r.stats.l2Hits;
-                    pt.l2Misses = r.stats.l2Misses;
-                    pt.netQueueingCycles =
-                        r.stats.networkQueueingCycles;
-                    if (!baseline.ok()) {
-                        pt.failed = true;
-                        pt.error = "RANDOM baseline failed: " +
-                                   baseline.error();
-                    } else {
-                        const RunResult &random = baseline.value();
-                        util::fatalIf(
-                            random.executionTime == 0,
-                            "RANDOM baseline ran for zero cycles");
-                        pt.normalizedToRandom =
-                            static_cast<double>(pt.cycles) /
-                            static_cast<double>(
-                                random.executionTime);
-                    }
-                }
-                out.push_back(pt);
-            }
-        }
-    }
-    return out;
-}
-
-std::vector<HierarchyPoint>
-hierarchyStudy(Lab &lab, AppId app,
-               const std::vector<Algorithm> &algs, unsigned jobs)
-{
-    SweepOptions options;
-    options.jobs = jobs;
-    return hierarchyStudy(lab, app, algs, options);
+    return placementSweep(lab, app, algs, allMemSystems(), options);
 }
 
 Table4Row
@@ -332,26 +188,19 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
         standardSweep(static_cast<uint32_t>(an.threadCount()));
     const auto &pool = placement::staticSharingAlgorithmsWithLB();
 
+    // Per point: the LOAD-BAL baseline, the pool, COHERENCE-TRAFFIC.
+    const size_t stride = pool.size() + 2;
     std::vector<RunJob> fanout;
-    std::vector<size_t> loadBalIdx(sweep.size());
-    std::vector<size_t> cohIdx(sweep.size());
-    std::vector<std::vector<size_t>> poolIdx(sweep.size());
-    for (size_t p = 0; p < sweep.size(); ++p) {
-        loadBalIdx[p] = fanout.size();
-        fanout.push_back({app, Algorithm::LoadBal, sweep[p], true});
-        poolIdx[p].reserve(pool.size());
-        for (Algorithm alg : pool) {
-            poolIdx[p].push_back(fanout.size());
-            fanout.push_back({app, alg, sweep[p], true});
-        }
-        cohIdx[p] = fanout.size();
-        fanout.push_back(
-            {app, Algorithm::CoherenceTraffic, sweep[p], true});
+    fanout.reserve(sweep.size() * stride);
+    for (const MachinePoint &point : sweep) {
+        fanout.push_back({app, Algorithm::LoadBal, point, true});
+        for (Algorithm alg : pool)
+            fanout.push_back({app, alg, point, true});
+        fanout.push_back({app, Algorithm::CoherenceTraffic, point, true});
     }
 
-    auto outcomes =
-        ParallelRunner(lab, options).runAllOutcomes(fanout);
-    collectFailures(fanout, outcomes, options.failures);
+    std::vector<double> cellMillis;
+    auto outcomes = runFanout(lab, fanout, options, cellMillis);
 
     std::vector<Table5Cell> out;
     out.reserve(sweep.size());
@@ -360,7 +209,7 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
         cell.app = workload::appName(app);
         cell.processors = sweep[p].processors;
 
-        const auto &loadBalOc = outcomes[loadBalIdx[p]];
+        const auto &loadBalOc = outcomes[p * stride];
         if (!loadBalOc.ok()) {
             cell.failed = true;
             cell.error =
@@ -375,7 +224,7 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
         double best = 0.0;
         bool first = true;
         for (size_t a = 0; a < pool.size(); ++a) {
-            const auto &oc = outcomes[poolIdx[p][a]];
+            const auto &oc = outcomes[p * stride + 1 + a];
             if (!oc.ok())
                 continue;  // failed algorithm: out of the contest
             double norm =
@@ -395,7 +244,7 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
         }
         cell.bestStaticVsLoadBal = best;
 
-        const auto &cohOc = outcomes[cohIdx[p]];
+        const auto &cohOc = outcomes[p * stride + stride - 1];
         if (!cohOc.ok()) {
             cell.failed = true;
             cell.error =
@@ -408,14 +257,6 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
         out.push_back(cell);
     }
     return out;
-}
-
-std::vector<Table5Cell>
-table5Study(Lab &lab, AppId app, unsigned jobs)
-{
-    SweepOptions options;
-    options.jobs = jobs;
-    return table5Study(lab, app, options);
 }
 
 analysis::CharacteristicsRow

@@ -4,16 +4,15 @@
  * one evaluation artifact of the paper and returns plain data; the
  * bench binaries render it. See DESIGN.md's experiment index.
  *
- * Every sweep driver takes a `jobs` pool width (default: TSP_JOBS or
- * the hardware concurrency) and fans its independent simulation runs
- * over a ParallelRunner; results are bit-identical to `jobs == 1`.
- *
- * Every sweep driver also has a SweepOptions overload carrying the
- * robustness knobs: a Checkpoint to journal/replay cells, a failures
- * sink that turns per-cell FatalErrors into reported-and-skipped
- * rows (rows carry `failed`/`error`), and a per-job watchdog
- * deadline. Without a failures sink the drivers keep their strict
- * behavior — the first failed cell throws.
+ * Every sweep driver takes a SweepOptions: the pool width `jobs`
+ * (default: TSP_JOBS or the hardware concurrency; results are
+ * bit-identical to `jobs == 1`) and the robustness knobs — a
+ * Checkpoint to journal/replay cells, a failures sink that turns
+ * per-cell FatalErrors into reported-and-skipped rows (rows carry
+ * `failed`/`error`), and a per-job watchdog deadline. Without a
+ * failures sink the drivers keep their strict behavior — the first
+ * failed cell throws. Callers set only what they need:
+ * `execTimeStudy(lab, app, algs, {.jobs = 1})`.
  */
 
 #ifndef TSP_EXPERIMENT_STUDIES_H
@@ -30,59 +29,45 @@
 
 namespace tsp::experiment {
 
-// ---------------------------------------------------------------- Figs 2-4
-
-/** One bar of an execution-time figure. */
-struct ExecTimePoint
-{
-    placement::Algorithm alg;
-    MachinePoint point;
-    uint64_t cycles = 0;
-    double normalizedToRandom = 0.0;  //!< < 1 means faster than RANDOM
-    double loadImbalance = 1.0;
-
-    /**
-     * Simulation wall time of this cell in milliseconds (0.0 when the
-     * cell was replayed from a checkpoint or failed). Observational
-     * only — never feeds the figure's data.
-     */
-    double wallMs = 0.0;
-
-    /** Cell failed (only in degraded sweeps); @ref error says why. */
-    bool failed = false;
-    std::string error;
-};
+// ------------------------------------------- Figs 2-5 and hierarchy study
 
 /**
- * Execution time of every algorithm in @p algs at every standard
- * machine point, normalized to RANDOM at the same point (the layout of
- * Figures 2, 3 and 4).
+ * One (memory system, algorithm, machine point) cell of a placement
+ * sweep: a bar of Figures 2-4, a row of Figure 5, and a cell of the
+ * hierarchy study.
  */
-std::vector<ExecTimePoint> execTimeStudy(
-    Lab &lab, workload::AppId app,
-    const std::vector<placement::Algorithm> &algs,
-    unsigned jobs = util::ThreadPool::defaultJobs());
-
-/** @copydoc execTimeStudy with full robustness options. */
-std::vector<ExecTimePoint> execTimeStudy(
-    Lab &lab, workload::AppId app,
-    const std::vector<placement::Algorithm> &algs,
-    const SweepOptions &options);
-
-// ------------------------------------------------------------------- Fig 5
-
-/** Miss components of one (algorithm, machine point) run. */
-struct MissComponentRow
+struct SweepRow
 {
-    placement::Algorithm alg;
+    MemSystem memSystem = MemSystem::Flat1994;
+    placement::Algorithm alg{};
     MachinePoint point;
+    uint64_t cycles = 0;
+
+    /**
+     * Execution time over RANDOM's under the same memory system at the
+     * same point (< 1 means faster than RANDOM), so each memory
+     * system's bars are internally comparable.
+     */
+    double normalizedToRandom = 0.0;
+    double loadImbalance = 1.0;
+
+    /** Figure 5's miss components and the references they come from. */
     uint64_t compulsory = 0;
     uint64_t intraConflict = 0;
     uint64_t interConflict = 0;
     uint64_t invalidation = 0;
     uint64_t refs = 0;
 
-    /** @copydoc ExecTimePoint::wallMs */
+    /** Shared-L2 and interconnect behavior of this cell. */
+    uint64_t l2Hits = 0;
+    uint64_t l2Misses = 0;
+    uint64_t netQueueingCycles = 0;
+
+    /**
+     * Simulation wall time of this cell in milliseconds (0.0 when the
+     * cell was replayed from a checkpoint or failed). Observational
+     * only — never feeds the figure's data.
+     */
     double wallMs = 0.0;
 
     /** Cell failed (only in degraded sweeps); @ref error says why. */
@@ -96,69 +81,31 @@ struct MissComponentRow
     }
 };
 
-/**
- * Cache miss component breakdown across placement algorithms and
- * machine points (the layout of Figure 5).
- */
-std::vector<MissComponentRow> missComponentStudy(
-    Lab &lab, workload::AppId app,
-    const std::vector<placement::Algorithm> &algs,
-    unsigned jobs = util::ThreadPool::defaultJobs());
-
-/** @copydoc missComponentStudy with full robustness options. */
-std::vector<MissComponentRow> missComponentStudy(
-    Lab &lab, workload::AppId app,
-    const std::vector<placement::Algorithm> &algs,
-    const SweepOptions &options);
-
-// --------------------------------------------------------- Hierarchy study
-
-/** One (memory system, algorithm, machine point) cell. */
-struct HierarchyPoint
-{
-    MemSystem memSystem = MemSystem::Flat1994;
-    placement::Algorithm alg;
-    MachinePoint point;
-    uint64_t cycles = 0;
-
-    /**
-     * Normalized to RANDOM under the *same* memory system at the same
-     * point, so each variant's bars are internally comparable and the
-     * placement sensitivity can be read per memory system.
-     */
-    double normalizedToRandom = 0.0;
-
-    /** Shared-L2 and interconnect behavior of this cell. */
-    uint64_t l2Hits = 0;
-    uint64_t l2Misses = 0;
-    uint64_t netQueueingCycles = 0;
-
-    /** @copydoc ExecTimePoint::wallMs */
-    double wallMs = 0.0;
-
-    /** Cell failed (only in degraded sweeps); @ref error says why. */
-    bool failed = false;
-    std::string error;
-};
+/** Study-specific names for SweepRow, kept for existing callers. */
+using ExecTimePoint = SweepRow;
+using HierarchyPoint = SweepRow;
 
 /**
- * Placement sensitivity across memory-system variants: every algorithm
- * in @p algs at every standard machine point, under every variant in
- * allMemSystems(), normalized to RANDOM under the same variant at the
- * same point. This is the bridge study from the paper's flat 1994
- * machine to a modern shared-L2/MOESI/contended-interconnect memory
- * system (see docs/memory_system.md).
+ * Execution time and miss components of every algorithm in @p algs at
+ * every standard machine point on the paper's flat-1994 machine,
+ * normalized to RANDOM at the same point (the layout of Figures 2-5).
  */
-std::vector<HierarchyPoint> hierarchyStudy(
+std::vector<SweepRow> execTimeStudy(
     Lab &lab, workload::AppId app,
     const std::vector<placement::Algorithm> &algs,
-    unsigned jobs = util::ThreadPool::defaultJobs());
+    const SweepOptions &options = {});
 
-/** @copydoc hierarchyStudy with full robustness options. */
-std::vector<HierarchyPoint> hierarchyStudy(
+/**
+ * Placement sensitivity across memory-system variants: execTimeStudy
+ * under every variant in allMemSystems(), each normalized to RANDOM
+ * under the same variant. This is the bridge study from the paper's
+ * flat 1994 machine to a modern shared-L2/MOESI/contended-interconnect
+ * memory system (see docs/memory_system.md).
+ */
+std::vector<SweepRow> hierarchyStudy(
     Lab &lab, workload::AppId app,
     const std::vector<placement::Algorithm> &algs,
-    const SweepOptions &options);
+    const SweepOptions &options = {});
 
 // ----------------------------------------------------------------- Table 4
 
@@ -226,13 +173,8 @@ struct Table5Cell
  * twelve — the six metrics and their +LB variants) and of the
  * coherence-traffic algorithm, normalized to LOAD-BAL.
  */
-std::vector<Table5Cell> table5Study(
-    Lab &lab, workload::AppId app,
-    unsigned jobs = util::ThreadPool::defaultJobs());
-
-/** @copydoc table5Study with full robustness options. */
 std::vector<Table5Cell> table5Study(Lab &lab, workload::AppId app,
-                                    const SweepOptions &options);
+                                    const SweepOptions &options = {});
 
 // ----------------------------------------------------------------- Table 2
 

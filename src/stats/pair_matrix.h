@@ -23,8 +23,11 @@ namespace tsp::stats {
 class PairMatrix
 {
   public:
+    /** An empty (0 x 0) matrix. */
+    PairMatrix() = default;
+
     /** Construct an n x n zero matrix. */
-    explicit PairMatrix(size_t n = 0);
+    explicit PairMatrix(size_t n);
 
     /** Number of items (threads). */
     size_t size() const { return n_; }

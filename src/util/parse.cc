@@ -42,4 +42,19 @@ parseUnsigned32(const std::string &text, const std::string &what,
         parseUnsigned(text, what, min, max));
 }
 
+std::vector<uint64_t>
+parseList(const std::string &text, const std::string &what,
+          uint64_t min, uint64_t max)
+{
+    std::vector<uint64_t> out;
+    for (size_t start = 0;;) {
+        const size_t comma = text.find(',', start);
+        out.push_back(parseUnsigned(text.substr(start, comma - start),
+                                    what, min, max));
+        if (comma == std::string::npos)
+            return out;
+        start = comma + 1;
+    }
+}
+
 } // namespace tsp::util

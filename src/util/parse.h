@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace tsp::util {
 
@@ -27,6 +28,16 @@ uint64_t parseUnsigned(const std::string &text, const std::string &what,
 uint32_t parseUnsigned32(const std::string &text,
                          const std::string &what, uint32_t min = 0,
                          uint32_t max = UINT32_MAX);
+
+/**
+ * Parse a comma-separated list such as "20000,50000", each item by
+ * parseUnsigned(item, what, min, max). An empty item ("4,,8", a
+ * trailing comma, an empty list) is an error naming @p what.
+ */
+std::vector<uint64_t> parseList(const std::string &text,
+                                const std::string &what,
+                                uint64_t min = 0,
+                                uint64_t max = UINT64_MAX);
 
 } // namespace tsp::util
 

@@ -150,7 +150,7 @@ TEST(Studies, ExecTimeStudyNormalizesRandomToOne)
 TEST(Studies, MissComponentsAddUp)
 {
     Lab lab(64);
-    auto rows = missComponentStudy(
+    auto rows = execTimeStudy(
         lab, AppId::Water, {Algorithm::Random, Algorithm::ShareRefs});
     ASSERT_FALSE(rows.empty());
     for (const auto &row : rows) {

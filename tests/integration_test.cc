@@ -71,7 +71,7 @@ TEST(PaperShapes, CompulsoryAndInvalidationMissesAreInvariant)
     // band (the paper: "fairly constant across all placement
     // algorithms").
     Lab lab(kScale);
-    auto rows = missComponentStudy(
+    auto rows = execTimeStudy(
         lab, AppId::Water,
         {Algorithm::Random, Algorithm::ShareRefs, Algorithm::MinShare,
          Algorithm::LoadBal});
@@ -102,7 +102,7 @@ TEST(PaperShapes, ConflictMissesShiftInterToIntra)
     // and conflicts shift from inter-thread to intra-thread (Fig 5).
     Lab lab(kScale);
     auto rows =
-        missComponentStudy(lab, AppId::Water, {Algorithm::Random});
+        execTimeStudy(lab, AppId::Water, {Algorithm::Random});
     ASSERT_GE(rows.size(), 2u);
     const auto &manyThreads = rows.front();  // 2 processors
     const auto &fewThreads = rows.back();    // most processors

@@ -81,8 +81,9 @@ TEST(ObsTrace, MultiThreadedSessionIsValidChromeTrace)
         EXPECT_TRUE(event.has("pid"));
         EXPECT_TRUE(event.has("tid"));
         const std::string &ph = event.at("ph").string;
-        if (ph != "M")
+        if (ph != "M") {
             EXPECT_TRUE(event.has("ts"));  // metadata carries no ts
+        }
         if (ph == "X") {
             ++complete;
             EXPECT_TRUE(event.has("dur"));

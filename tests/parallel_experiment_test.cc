@@ -147,8 +147,9 @@ TEST(Determinism, ExecTimeStudyBitIdenticalAcrossJobs)
         Algorithm::MinShare};
     for (AppId app : {AppId::Water, AppId::BarnesHut}) {
         Lab serialLab(kScale), parallelLab(kScale);
-        auto serial = execTimeStudy(serialLab, app, algs, /*jobs=*/1);
-        auto wide = execTimeStudy(parallelLab, app, algs, wideJobs());
+        auto serial = execTimeStudy(serialLab, app, algs, {.jobs = 1});
+        auto wide =
+            execTimeStudy(parallelLab, app, algs, {.jobs = wideJobs()});
         ASSERT_EQ(serial.size(), wide.size());
         for (size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(serial[i].alg, wide[i].alg);
@@ -176,7 +177,7 @@ TEST(Determinism, ResultsBitIdenticalWithObservabilityOnOrOff)
 
     obs::setMetricsEnabled(false);
     Lab plainLab(kScale);
-    auto plain = execTimeStudy(plainLab, app, algs, wideJobs());
+    auto plain = execTimeStudy(plainLab, app, algs, {.jobs = wideJobs()});
 
     obs::setMetricsEnabled(true);
     const std::string tracePath =
@@ -220,9 +221,9 @@ TEST(Determinism, MissComponentStudyBitIdenticalAcrossJobs)
     for (AppId app : {AppId::Water, AppId::BarnesHut}) {
         Lab serialLab(kScale), parallelLab(kScale);
         auto serial =
-            missComponentStudy(serialLab, app, algs, /*jobs=*/1);
+            execTimeStudy(serialLab, app, algs, {.jobs = 1});
         auto wide =
-            missComponentStudy(parallelLab, app, algs, wideJobs());
+            execTimeStudy(parallelLab, app, algs, {.jobs = wideJobs()});
         ASSERT_EQ(serial.size(), wide.size());
         for (size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(serial[i].alg, wide[i].alg);
@@ -238,8 +239,8 @@ TEST(Determinism, MissComponentStudyBitIdenticalAcrossJobs)
 TEST(Determinism, Table5StudyBitIdenticalAcrossJobs)
 {
     Lab serialLab(kScale), parallelLab(kScale);
-    auto serial = table5Study(serialLab, AppId::Water, /*jobs=*/1);
-    auto wide = table5Study(parallelLab, AppId::Water, wideJobs());
+    auto serial = table5Study(serialLab, AppId::Water, {.jobs = 1});
+    auto wide = table5Study(parallelLab, AppId::Water, {.jobs = wideJobs()});
     ASSERT_EQ(serial.size(), wide.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].processors, wide[i].processors);
@@ -249,6 +250,89 @@ TEST(Determinism, Table5StudyBitIdenticalAcrossJobs)
         EXPECT_EQ(serial[i].coherenceVsLoadBal,
                   wide[i].coherenceVsLoadBal);
     }
+}
+
+/** Every data field of two sweep rows matches (wallMs aside). */
+void
+expectSameCell(const SweepRow &a, const SweepRow &b)
+{
+    EXPECT_EQ(a.memSystem, b.memSystem);
+    EXPECT_EQ(a.alg, b.alg);
+    EXPECT_EQ(a.point.processors, b.point.processors);
+    EXPECT_EQ(a.point.contexts, b.point.contexts);
+    EXPECT_EQ(a.cycles, b.cycles);
+    // Exact (bitwise) double equality is the contract.
+    EXPECT_EQ(a.normalizedToRandom, b.normalizedToRandom);
+    EXPECT_EQ(a.loadImbalance, b.loadImbalance);
+    EXPECT_EQ(a.compulsory, b.compulsory);
+    EXPECT_EQ(a.intraConflict, b.intraConflict);
+    EXPECT_EQ(a.interConflict, b.interConflict);
+    EXPECT_EQ(a.invalidation, b.invalidation);
+    EXPECT_EQ(a.refs, b.refs);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.netQueueingCycles, b.netQueueingCycles);
+    EXPECT_EQ(a.failed, b.failed);
+}
+
+const std::vector<Algorithm> kHierarchyAlgs = {
+    Algorithm::Random, Algorithm::LoadBal, Algorithm::ShareRefs};
+
+TEST(Determinism, HierarchyStudyBitIdenticalAcrossJobs)
+{
+    Lab serialLab(kScale), parallelLab(kScale);
+    auto serial = hierarchyStudy(serialLab, AppId::Water,
+                                 kHierarchyAlgs, {.jobs = 1});
+    auto wide = hierarchyStudy(parallelLab, AppId::Water,
+                               kHierarchyAlgs, {.jobs = wideJobs()});
+    ASSERT_EQ(serial.size(), wide.size());
+    ASSERT_EQ(serial.size(), allMemSystems().size() *
+                                 standardSweep(8).size() *
+                                 kHierarchyAlgs.size());
+    for (size_t i = 0; i < serial.size(); ++i)
+        expectSameCell(serial[i], wide[i]);
+}
+
+TEST(Determinism, HierarchyFlatRowsAreTheExecTimeStudy)
+{
+    Lab hierarchyLab(kScale), flatLab(kScale);
+    auto hierarchy = hierarchyStudy(hierarchyLab, AppId::Water,
+                                    kHierarchyAlgs, {.jobs = wideJobs()});
+    auto flat = execTimeStudy(flatLab, AppId::Water, kHierarchyAlgs,
+                              {.jobs = wideJobs()});
+    ASSERT_FALSE(flat.empty());
+    ASSERT_GT(hierarchy.size(), flat.size());
+    // Memory systems come in allMemSystems() order, flat-1994 first.
+    for (size_t i = 0; i < flat.size(); ++i)
+        expectSameCell(hierarchy[i], flat[i]);
+    EXPECT_NE(hierarchy[flat.size()].memSystem, MemSystem::Flat1994);
+}
+
+TEST(Determinism, HierarchyNormalizesPerMemorySystem)
+{
+    Lab lab(kScale);
+    auto rows = hierarchyStudy(lab, AppId::Water, kHierarchyAlgs,
+                               {.jobs = wideJobs()});
+    std::set<MemSystem> seen;
+    for (const SweepRow &row : rows) {
+        seen.insert(row.memSystem);
+        ASSERT_FALSE(row.failed) << row.error;
+        EXPECT_GT(row.cycles, 0u);
+        if (row.alg == Algorithm::Random) {
+            EXPECT_EQ(row.normalizedToRandom, 1.0)
+                << memSystemName(row.memSystem) << " "
+                << row.point.label();
+        }
+        if (row.memSystem == MemSystem::Flat1994) {
+            EXPECT_EQ(row.l2Hits, 0u);
+            EXPECT_EQ(row.l2Misses, 0u);
+            EXPECT_EQ(row.netQueueingCycles, 0u);
+        } else {
+            EXPECT_GT(row.l2Hits + row.l2Misses, 0u)
+                << memSystemName(row.memSystem);
+        }
+    }
+    EXPECT_EQ(seen.size(), allMemSystems().size());
 }
 
 // --------------------------------------------------------- fault isolation
@@ -342,7 +426,7 @@ TEST(FaultIsolation, DegradedStudyMatchesCleanStudyElsewhere)
 
     Lab cleanLab(kScale);
     auto clean = execTimeStudy(cleanLab, AppId::Water, algs,
-                               /*jobs=*/1);
+                               {.jobs = 1});
 
     Lab lab(kScale);
     std::vector<JobFailure> failures;

@@ -102,7 +102,7 @@ TEST(StudyCsv, ExecTimePointsRoundTrip)
 TEST(StudyCsv, MissComponentsRoundTrip)
 {
     std::string path = tmpPath("miss.csv");
-    std::vector<MissComponentRow> rows(1);
+    std::vector<SweepRow> rows(1);
     rows[0].alg = placement::Algorithm::Random;
     rows[0].point = {2, 8};
     rows[0].compulsory = 1;
@@ -136,6 +136,36 @@ TEST(StudyCsv, Table4And5RoundTrip)
     writeTable5Csv(p5, t5);
     EXPECT_NE(slurp(p5).find("FFT,8,MAX-WRITES+LB,1.020000,1.500000"),
               std::string::npos);
+}
+
+TEST(StudyCsv, Table5FailedCellSaysSo)
+{
+    // A failed cell's numbers are placeholders (bestStatic is just
+    // Algorithm{}); the status column must keep it from reading as a
+    // result.
+    std::string path = tmpPath("t5_failed.csv");
+    std::vector<Table5Cell> cells(2);
+    cells[0].app = "Water";
+    cells[0].processors = 2;
+    cells[0].bestStatic = placement::Algorithm::MinShareLB;
+    cells[0].bestStaticVsLoadBal = 0.99;
+    cells[0].coherenceVsLoadBal = 1.01;
+    cells[1].app = "Water";
+    cells[1].processors = 4;
+    cells[1].failed = true;
+    cells[1].error = "LOAD-BAL baseline failed: fatal: injected";
+    writeTable5Csv(path, cells);
+    std::string text = slurp(path);
+    EXPECT_NE(text.find("coherence_vs_loadbal,status\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(",0.990000,1.010000,ok\n"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("Water,4,"), std::string::npos) << text;
+    EXPECT_NE(text.find(",failed: LOAD-BAL baseline failed: fatal: "
+                        "injected\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST(StudyCsv, Table2RoundTrip)

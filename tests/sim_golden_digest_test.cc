@@ -43,7 +43,7 @@ execTimeDigest(Lab &lab, workload::AppId app)
 {
     uint32_t crc = 0;
     auto pts =
-        execTimeStudy(lab, app, placement::figureAlgorithms(), 2u);
+        execTimeStudy(lab, app, placement::figureAlgorithms(), {.jobs = 2});
     EXPECT_FALSE(pts.empty());
     for (const auto &pt : pts) {
         feed64(crc, static_cast<uint64_t>(pt.alg));
@@ -59,7 +59,7 @@ missComponentDigest(Lab &lab, workload::AppId app)
 {
     uint32_t crc = 0;
     auto rows =
-        missComponentStudy(lab, app, placement::figureAlgorithms(), 2u);
+        execTimeStudy(lab, app, placement::figureAlgorithms(), {.jobs = 2});
     EXPECT_FALSE(rows.empty());
     for (const auto &row : rows) {
         feed64(crc, static_cast<uint64_t>(row.alg));

@@ -436,5 +436,46 @@ TEST(Parse, EnforcesRange)
     EXPECT_THROW(parseUnsigned("11", "--n", 1, 10), FatalError);
 }
 
+TEST(ParseList, SplitsOnCommas)
+{
+    EXPECT_EQ(parseList("20000,50000", "--window"),
+              (std::vector<uint64_t>{20000, 50000}));
+    EXPECT_EQ(parseList("7", "--window"), (std::vector<uint64_t>{7}));
+}
+
+/** parseList(text, ...) must fail with a message naming @p flag. */
+void
+expectListRejected(const std::string &text, const std::string &flag,
+                   uint64_t max = UINT64_MAX)
+{
+    try {
+        parseList(text, flag, 1, max);
+        FAIL() << "accepted '" << text << "'";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParseList, RejectsAnEmptyItem)
+{
+    expectListRejected("4,,8", "--clusters");
+    expectListRejected("", "--clusters");
+}
+
+TEST(ParseList, RejectsATrailingComma)
+{
+    expectListRejected("4,8,", "--clusters");
+}
+
+TEST(ParseList, RejectsAValueAboveMax)
+{
+    // Past max is an error, not a narrowing: 2^32 + 2 would read as 2.
+    expectListRejected("4,4294967298", "--clusters", UINT32_MAX);
+    expectListRejected("4294967296", "--clusters", UINT32_MAX);
+    EXPECT_EQ(parseList("4294967295", "--clusters", 1, UINT32_MAX),
+              (std::vector<uint64_t>{UINT32_MAX}));
+}
+
 } // namespace
 } // namespace tsp::util

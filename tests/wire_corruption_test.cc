@@ -151,8 +151,9 @@ TEST(WireDeframer, TruncatedFrameStaysIncompleteNotCorrupt)
         Deframer deframer;
         deframer.feed(frame.data(), cut);
         EXPECT_FALSE(deframer.next().has_value()) << "cut=" << cut;
-        if (cut > 0)
+        if (cut > 0) {
             EXPECT_TRUE(deframer.midFrame());
+        }
     }
 }
 

@@ -1,25 +1,21 @@
 /**
  * @file
- * tsp_run — one-shot experiment CLI: place one suite application with
+ * tsp-run — one-shot experiment CLI: place one suite application with
  * one algorithm on one machine configuration and print the full
- * statistics. Also hosts the fault-tolerant sweep driver.
+ * statistics. Also hosts the fault-tolerant placement sweeps, the
+ * chaos matrix and the sampling study.
  *
- *   tsp_run <app> <algorithm> <processors> [options]
- *   tsp_run sweep <app> [options]
- *   tsp_run hierarchy <app> [options]
- *   tsp_run chaos [options]
- *   tsp_run sample [options]
+ *   tsp-run <app> <algorithm> <processors> [options]
+ *   tsp-run sweep <app> [options]
+ *   tsp-run hierarchy <app> [options]
+ *   tsp-run chaos [options]
+ *   tsp-run sample [options]
  *
- * options (single run):
- *   --contexts N     hardware contexts/processor (default: fit all)
- *   --cache BYTES    cache size (default: the app's paper cache,
- *                    scaled)
- *   --assoc N        associativity (default 1, direct-mapped)
- *   --latency N      memory latency cycles (default 50)
- *   --switch N       context switch cycles (default 6)
- *   --scale N        workload scale divisor (default TSP_SCALE or 8)
- *   --infinite       use the 8 MB "infinite" cache
- *   --profile        collect the write-run sharing profile
+ * shared options, parsed in one place (single run, sweep and
+ * hierarchy take all five; chaos takes --scale and --jobs; sample
+ * takes --scale and --paranoid):
+ *   --scale N        workload scale divisor (default TSP_SCALE or 8;
+ *                    chaos: 64)
  *   --jobs N         worker threads for parallel experiment drivers
  *                    (overrides TSP_JOBS; results are identical at
  *                    any width)
@@ -31,9 +27,20 @@
  *                    memory references (0 disables; same as
  *                    TSP_PARANOID)
  *
- * options (sweep mode):
- *   --scale N          workload scale divisor
- *   --jobs N           worker threads
+ * options (single run):
+ *   --contexts N     hardware contexts/processor (default: fit all)
+ *   --cache BYTES    cache size (default: the app's paper cache,
+ *                    scaled)
+ *   --assoc N        associativity (default 1, direct-mapped)
+ *   --latency N      memory latency cycles (default 50)
+ *   --switch N       context switch cycles (default 6)
+ *   --infinite       use the 8 MB "infinite" cache
+ *   --profile        collect the write-run sharing profile
+ *
+ * options (sweep and hierarchy — every figure algorithm at every
+ * standard machine point, normalized to RANDOM: sweep on the paper's
+ * flat-1994 machine, hierarchy once per memory-system variant of
+ * docs/memory_system.md):
  *   --batch N          lanes per batched lockstep simulation: up to N
  *                      cells of one application advance together over
  *                      its shared traces (bit-identical results;
@@ -44,30 +51,21 @@
  *                      same file works as `tsp-serve --store PATH`
  *   --deadline MS      watchdog: warn when one cell runs longer than
  *                      MS milliseconds
- *   --metrics-out PATH enable the metrics registry and export it as
- *                      JSON to PATH on completion
  *   --trace-out PATH   write a per-cell Chrome trace-event timeline
  *                      (JSONL; open in chrome://tracing or Perfetto)
- *   --fault SPEC       arm one deterministic fault (site:nth[+]:kind)
- *   --paranoid N       invariant-check every N references
+ *   --csv PATH         write the study as CSV to PATH
  *
- * options (hierarchy mode — placement sensitivity across the
- * memory-system variants of docs/memory_system.md; takes the same
- * flags as sweep mode, plus):
- *   --csv PATH         write the full study as CSV to PATH
- *
- * options (chaos mode — run the fault-injection matrix, see
+ * options (chaos — run the fault-injection matrix, see
  * docs/robustness.md):
- *   --scale N   --jobs N   --app NAME   --workdir PATH   --verbose
+ *   --app NAME   --workdir PATH   --verbose   --quiet
  *
- * options (sample mode — BBV phase-sampling error-vs-speed study,
+ * options (sample — BBV phase-sampling error-vs-speed study,
  * docs/performance.md "Sampling methodology"):
  *   --app NAME       add a suite application (repeatable; default:
  *                    all of them)
  *   --threads N      add a synthetic scalable workload with N
  *                    threads on N processors (up to 1024)
  *   --mean N         synthetic workload mean thread length
- *   --scale N        workload scale divisor
  *   --length-mult N  thread-length multiplier (sampling pays off on
  *                    long traces; 8-32x shows the >=20x regime)
  *   --window LIST    comma-separated window sizes, in per-thread
@@ -76,10 +74,11 @@
  *   --warmup N       warmup windows per representative (default 1)
  *   --csv PATH       write the study as CSV to PATH
  *
- * Signals: a sweep receiving SIGINT/SIGTERM cancels cooperatively —
- * in-flight cells finish and are journaled, the checkpoint, metrics
- * export and trace timeline are flushed, and the process exits with
- * code 4 (resume by re-running with the same --checkpoint).
+ * Signals: a sweep or hierarchy run receiving SIGINT/SIGTERM cancels
+ * cooperatively — in-flight cells finish and are journaled, the
+ * checkpoint, metrics export and trace timeline are flushed, and the
+ * process exits with code 4 (resume by re-running with the same
+ * --checkpoint).
  *
  * Exit codes: 0 success; 1 error; 2 usage; 3 degraded (failed cells /
  * chaos matrix failures); 4 interrupted by signal.
@@ -93,6 +92,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -151,26 +151,30 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: tsp_run <app> <algorithm> <processors> [options]\n"
-        "       tsp_run sweep <app> [--checkpoint PATH]"
-        " [--deadline MS]\n"
-        "       tsp_run hierarchy <app> [--csv PATH]"
+        "usage: tsp-run <app> <algorithm> <processors> [options]\n"
+        "       tsp-run sweep|hierarchy <app> [--batch N]"
         " [--checkpoint PATH]\n"
-        "       tsp_run chaos [--scale N] [--app NAME]"
-        " [--workdir PATH] [--verbose]\n"
-        "       tsp_run sample [--app NAME ...] [--threads N]"
-        " [--mean N] [--scale N]\n"
+        "               [--deadline MS] [--trace-out PATH]"
+        " [--csv PATH]\n"
+        "       tsp-run chaos [--app NAME] [--workdir PATH]"
+        " [--verbose|--quiet]\n"
+        "       tsp-run sample [--app NAME ...] [--threads N]"
+        " [--mean N]\n"
         "               [--length-mult N] [--window LIST]"
         " [--clusters LIST]\n"
         "               [--warmup N] [--csv PATH]\n"
-        "  --contexts N  --cache BYTES  --assoc N  --latency N\n"
-        "  --switch N    --scale N      --infinite --profile\n"
-        "  --jobs N      --metrics-out PATH  --trace-out PATH\n"
-        "  --fault site:nth[+]:kind    --paranoid N\n"
-        "  --checkpoint PATH  result store to resume from and journal\n"
-        "                to (the same file as tsp_serve --store)\n"
-        "  --batch N     lanes per lockstep simulation batch in sweep\n"
-        "                mode (default $TSP_BATCH, else 1 = off)\n"
+        "shared: --scale N  --jobs N  --metrics-out PATH"
+        "  --fault site:nth[+]:kind  --paranoid N\n"
+        "        (chaos: --scale, --jobs; sample: --scale,"
+        " --paranoid)\n"
+        "single run: --contexts N  --cache BYTES  --assoc N"
+        "  --latency N  --switch N\n"
+        "            --infinite  --profile\n"
+        "--checkpoint PATH is a result store to resume from and"
+        " journal to (the same\n"
+        "file as tsp-serve --store); --batch N sets the lanes per"
+        " lockstep simulation\n"
+        "batch (default $TSP_BATCH, else 1 = off)\n"
         "algorithms: ");
     for (placement::Algorithm alg : placement::allAlgorithms())
         std::fprintf(stderr, "%s ",
@@ -179,73 +183,159 @@ usage()
     return 2;
 }
 
+/** Walks a command's flags, handing out their values. */
+class Args
+{
+  public:
+    Args(int argc, char **argv, int first)
+        : argc_(argc), argv_(argv), next_(first)
+    {
+    }
+
+    /** Step to the next flag; false when none is left. */
+    bool
+    next()
+    {
+        if (next_ >= argc_)
+            return false;
+        flag_ = argv_[next_++];
+        return true;
+    }
+
+    /** Whether the current flag is @p name. */
+    bool is(const char *name) const { return !std::strcmp(flag_, name); }
+
+    /** The current flag's value; fails naming the flag when missing. */
+    const char *
+    value()
+    {
+        util::fatalIf(next_ >= argc_,
+                      std::string(flag_) + " needs a value");
+        return argv_[next_++];
+    }
+
+    /** The current flag's value as an integer in [@p min, @p max]. */
+    uint64_t
+    number(uint64_t min = 0, uint64_t max = UINT64_MAX)
+    {
+        return util::parseUnsigned(value(), flag_, min, max);
+    }
+
+    uint32_t
+    number32(uint32_t min = 0, uint32_t max = UINT32_MAX)
+    {
+        return static_cast<uint32_t>(number(min, max));
+    }
+
+  private:
+    int argc_;
+    char **argv_;
+    int next_;
+    const char *flag_ = "";
+};
+
 /**
- * Fault-tolerant figure sweep: execTimeStudy in degraded mode with an
- * optional checkpoint journal and per-cell watchdog. Failed cells
- * render as FAILED; the failure summary and the sweep statistics
- * (cells replayed from the checkpoint vs simulated vs failed) print
- * after the table.
+ * The flags the commands share. A command names the ones it accepts;
+ * the rest stay usage errors, so every accepted flag takes effect.
+ * --fault and --paranoid apply as they are parsed.
+ */
+struct SharedFlags
+{
+    enum : unsigned {
+        kScale = 1,
+        kJobs = 2,
+        kMetrics = 4,
+        kFault = 8,
+        kParanoid = 16,
+        kAll = 31,
+    };
+
+    unsigned accepted = kAll;
+    uint32_t scale = workload::defaultScale();
+    unsigned jobs = util::ThreadPool::defaultJobs();
+    std::string metricsPath = {};
+
+    /** Consume the current flag if it is an accepted shared flag. */
+    bool
+    parse(Args &args)
+    {
+        if ((accepted & kScale) && args.is("--scale")) {
+            scale = args.number32(1);
+        } else if ((accepted & kJobs) && args.is("--jobs")) {
+            jobs = args.number32(0, 4096);
+        } else if ((accepted & kMetrics) && args.is("--metrics-out")) {
+            metricsPath = args.value();
+            obs::setMetricsEnabled(true);
+        } else if ((accepted & kFault) && args.is("--fault")) {
+            fault::arm(args.value());
+        } else if ((accepted & kParanoid) && args.is("--paranoid")) {
+            sim::setDefaultParanoidEvery(args.number());
+        } else {
+            return false;
+        }
+        return true;
+    }
+
+    /** Export the metrics registry if --metrics-out asked for it. */
+    void
+    writeMetrics() const
+    {
+        if (metricsPath.empty())
+            return;
+        obs::Registry::instance().writeJsonFile(metricsPath);
+        std::printf("(wrote %s)\n", metricsPath.c_str());
+    }
+};
+
+/**
+ * `tsp-run sweep|hierarchy <app>`: the fault-tolerant placement sweep
+ * — execTimeStudy for `sweep`, hierarchyStudy (one table per memory
+ * system, with its L2 hit rate and interconnect queueing) for
+ * `hierarchy` — in degraded mode with an optional checkpoint journal,
+ * per-cell watchdog and cooperative cancel. Failed cells render as
+ * FAILED; the sweep statistics (cells replayed from the checkpoint vs
+ * simulated vs failed) and the failure summary print after the tables.
  */
 int
 runSweep(int argc, char **argv)
 {
     if (argc < 3)
         return usage();
-    workload::AppId app = workload::appByName(argv[2]);
+    const bool hierarchy = !std::strcmp(argv[1], "hierarchy");
+    const workload::AppId app = workload::appByName(argv[2]);
 
-    uint32_t scale = workload::defaultScale();
-    unsigned jobs = util::ThreadPool::defaultJobs();
+    SharedFlags shared;
     unsigned batch = experiment::defaultBatchLanes();
-    std::string checkpointPath;
-    std::string metricsPath;
-    std::string tracePath;
+    std::string checkpointPath, tracePath, csvPath;
     uint64_t deadlineMs = 0;
-    for (int i = 3; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--scale"))
-            scale = util::parseUnsigned32(next("--scale"), "--scale",
-                                          1);
-        else if (!std::strcmp(argv[i], "--jobs"))
-            jobs = util::parseUnsigned32(next("--jobs"), "--jobs", 0,
-                                         4096);
-        else if (!std::strcmp(argv[i], "--batch"))
-            batch = util::parseUnsigned32(next("--batch"), "--batch",
-                                          1, 4096);
-        else if (!std::strcmp(argv[i], "--checkpoint"))
-            checkpointPath = next("--checkpoint");
-        else if (!std::strcmp(argv[i], "--deadline"))
-            deadlineMs = util::parseUnsigned(next("--deadline"),
-                                             "--deadline", 1);
-        else if (!std::strcmp(argv[i], "--metrics-out"))
-            metricsPath = next("--metrics-out");
-        else if (!std::strcmp(argv[i], "--trace-out"))
-            tracePath = next("--trace-out");
-        else if (!std::strcmp(argv[i], "--fault"))
-            fault::arm(next("--fault"));
-        else if (!std::strcmp(argv[i], "--paranoid"))
-            sim::setDefaultParanoidEvery(util::parseUnsigned(
-                next("--paranoid"), "--paranoid"));
+    for (Args args(argc, argv, 3); args.next();) {
+        if (shared.parse(args))
+            continue;
+        if (args.is("--batch"))
+            batch = args.number32(1, 4096);
+        else if (args.is("--checkpoint"))
+            checkpointPath = args.value();
+        else if (args.is("--deadline"))
+            deadlineMs = args.number(1);
+        else if (args.is("--trace-out"))
+            tracePath = args.value();
+        else if (args.is("--csv"))
+            csvPath = args.value();
         else
             return usage();
     }
 
-    if (!metricsPath.empty())
-        obs::setMetricsEnabled(true);
     installSignalHandlers();
     std::optional<obs::TraceSink> trace;
     if (!tracePath.empty()) {
-        trace.emplace(tracePath, "tsp_run sweep");
+        trace.emplace(tracePath, std::string("tsp-run ") + argv[1]);
         obs::TraceSink::installGlobal(&*trace);
     }
 
-    experiment::Lab lab(scale);
+    experiment::Lab lab(shared.scale);
     std::optional<experiment::Checkpoint> checkpoint;
     if (!checkpointPath.empty()) {
-        checkpoint.emplace(checkpointPath, scale);
+        checkpoint.emplace(checkpointPath, shared.scale);
         if (checkpoint->size())
             std::printf("checkpoint: %s holds %zu completed cells\n",
                         checkpointPath.c_str(), checkpoint->size());
@@ -254,46 +344,23 @@ runSweep(int argc, char **argv)
     std::vector<experiment::JobFailure> failures;
     experiment::SweepStats stats;
     std::vector<double> cellMillis;
-    experiment::SweepOptions options;
-    options.jobs = jobs;
-    options.batch = batch;
-    options.checkpoint = checkpoint ? &*checkpoint : nullptr;
-    options.failures = &failures;
-    options.statsOut = &stats;
-    options.jobDeadline = std::chrono::milliseconds(deadlineMs);
-    options.cellMillisOut = &cellMillis;
-    options.cancel = &gCancel;
-
-    auto points = experiment::execTimeStudy(
-        lab, app, placement::figureAlgorithms(), options);
-
-    // One row per algorithm, one column per machine point.
-    std::vector<std::string> cols;
-    for (const auto &pt : points) {
-        std::string label = pt.point.label();
-        if (std::find(cols.begin(), cols.end(), label) == cols.end())
-            cols.push_back(label);
-    }
-    util::TextTable table(workload::appName(app) +
-                          " execution time (normalized to RANDOM)");
-    std::vector<std::string> header{"algorithm"};
-    header.insert(header.end(), cols.begin(), cols.end());
-    table.setHeader(header);
-    for (placement::Algorithm alg : placement::figureAlgorithms()) {
-        std::vector<std::string> row{placement::algorithmName(alg)};
-        row.resize(1 + cols.size());
-        for (const auto &pt : points) {
-            if (pt.alg != alg)
-                continue;
-            auto it = std::find(cols.begin(), cols.end(),
-                                pt.point.label());
-            row[1 + static_cast<size_t>(it - cols.begin())] =
-                pt.failed ? "FAILED"
-                          : util::fmtFixed(pt.normalizedToRandom, 3);
-        }
-        table.addRow(row);
-    }
-    table.print();
+    const auto study =
+        hierarchy ? experiment::hierarchyStudy : experiment::execTimeStudy;
+    const auto rows = study(
+        lab, app, placement::figureAlgorithms(),
+        {.jobs = shared.jobs,
+         .batch = batch,
+         .checkpoint = checkpoint ? &*checkpoint : nullptr,
+         .failures = &failures,
+         .statsOut = &stats,
+         .cellMillisOut = &cellMillis,
+         .jobDeadline = std::chrono::milliseconds(deadlineMs),
+         .cancel = &gCancel});
+    std::printf("%s", experiment::renderSweepTables(
+                          workload::appName(app) +
+                              " execution time normalized to RANDOM",
+                          rows)
+                          .c_str());
 
     std::printf("\nsweep: %zu cells (%zu unique), %zu replayed from "
                 "checkpoint, %zu simulated, %zu failed\n",
@@ -303,11 +370,10 @@ runSweep(int argc, char **argv)
         std::printf("cancelled: %zu cells skipped (signal %d)\n",
                     stats.cancelled, static_cast<int>(gSignal));
     if (stats.executed) {
-        double sum = 0.0, maxMs = 0.0;
-        for (double ms : cellMillis) {
-            sum += ms;
-            maxMs = std::max(maxMs, ms);
-        }
+        const double sum =
+            std::accumulate(cellMillis.begin(), cellMillis.end(), 0.0);
+        const double maxMs =
+            *std::max_element(cellMillis.begin(), cellMillis.end());
         std::printf("cell wall time: %s ms total (max %s ms per "
                     "cell)\n",
                     util::fmtFixed(sum, 1).c_str(),
@@ -318,10 +384,15 @@ runSweep(int argc, char **argv)
                     "deadline\n",
                     stats.watchdogFlagged,
                     static_cast<unsigned long long>(deadlineMs));
-    std::string summary = experiment::renderFailureSummary(failures);
-    if (!summary.empty())
-        std::printf("%s", summary.c_str());
+    std::printf("%s", experiment::renderFailureSummary(failures).c_str());
 
+    if (!csvPath.empty()) {
+        if (hierarchy)
+            experiment::writeHierarchyCsv(csvPath, rows);
+        else
+            experiment::writeExecTimeCsv(csvPath, rows);
+        std::printf("(wrote %s)\n", csvPath.c_str());
+    }
     if (trace) {
         obs::TraceSink::installGlobal(nullptr);
         trace->close();
@@ -329,10 +400,7 @@ runSweep(int argc, char **argv)
                     tracePath.c_str(),
                     static_cast<unsigned long long>(trace->events()));
     }
-    if (!metricsPath.empty()) {
-        obs::Registry::instance().writeJsonFile(metricsPath);
-        std::printf("(wrote %s)\n", metricsPath.c_str());
-    }
+    shared.writeMetrics();
     if (gCancel.cancelled()) {
         // Everything above already flushed: the checkpoint journals
         // each cell on completion, and the trace/metrics files were
@@ -345,182 +413,7 @@ runSweep(int argc, char **argv)
 }
 
 /**
- * `tsp_run hierarchy <app>`: the memory-system bridge study. Runs the
- * figure algorithms at every standard machine point under each
- * memory-system variant (flat-1994 -> shared-l2 -> moesi ->
- * contended) and prints one normalized-to-RANDOM table per variant,
- * plus the shared-L2 hit rate and interconnect queueing observed at
- * the largest machine point. Same robustness surface as sweep mode
- * (checkpoint, watchdog, cooperative cancel); --csv writes the full
- * study for plotting.
- */
-int
-runHierarchy(int argc, char **argv)
-{
-    if (argc < 3)
-        return usage();
-    workload::AppId app = workload::appByName(argv[2]);
-
-    uint32_t scale = workload::defaultScale();
-    unsigned jobs = util::ThreadPool::defaultJobs();
-    unsigned batch = experiment::defaultBatchLanes();
-    std::string checkpointPath;
-    std::string metricsPath;
-    std::string csvPath;
-    uint64_t deadlineMs = 0;
-    for (int i = 3; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--scale"))
-            scale = util::parseUnsigned32(next("--scale"), "--scale",
-                                          1);
-        else if (!std::strcmp(argv[i], "--jobs"))
-            jobs = util::parseUnsigned32(next("--jobs"), "--jobs", 0,
-                                         4096);
-        else if (!std::strcmp(argv[i], "--batch"))
-            batch = util::parseUnsigned32(next("--batch"), "--batch",
-                                          1, 4096);
-        else if (!std::strcmp(argv[i], "--checkpoint"))
-            checkpointPath = next("--checkpoint");
-        else if (!std::strcmp(argv[i], "--deadline"))
-            deadlineMs = util::parseUnsigned(next("--deadline"),
-                                             "--deadline", 1);
-        else if (!std::strcmp(argv[i], "--metrics-out"))
-            metricsPath = next("--metrics-out");
-        else if (!std::strcmp(argv[i], "--csv"))
-            csvPath = next("--csv");
-        else if (!std::strcmp(argv[i], "--fault"))
-            fault::arm(next("--fault"));
-        else if (!std::strcmp(argv[i], "--paranoid"))
-            sim::setDefaultParanoidEvery(util::parseUnsigned(
-                next("--paranoid"), "--paranoid"));
-        else
-            return usage();
-    }
-
-    if (!metricsPath.empty())
-        obs::setMetricsEnabled(true);
-    installSignalHandlers();
-
-    experiment::Lab lab(scale);
-    std::optional<experiment::Checkpoint> checkpoint;
-    if (!checkpointPath.empty()) {
-        checkpoint.emplace(checkpointPath, scale);
-        if (checkpoint->size())
-            std::printf("checkpoint: %s holds %zu completed cells\n",
-                        checkpointPath.c_str(), checkpoint->size());
-    }
-
-    std::vector<experiment::JobFailure> failures;
-    experiment::SweepStats stats;
-    experiment::SweepOptions options;
-    options.jobs = jobs;
-    options.batch = batch;
-    options.checkpoint = checkpoint ? &*checkpoint : nullptr;
-    options.failures = &failures;
-    options.statsOut = &stats;
-    options.jobDeadline = std::chrono::milliseconds(deadlineMs);
-    options.cancel = &gCancel;
-
-    auto points = experiment::hierarchyStudy(
-        lab, app, placement::figureAlgorithms(), options);
-
-    // One table per memory system: rows are algorithms, columns are
-    // machine points, cells normalized to RANDOM under that system.
-    std::vector<std::string> cols;
-    for (const auto &pt : points) {
-        std::string label = pt.point.label();
-        if (std::find(cols.begin(), cols.end(), label) == cols.end())
-            cols.push_back(label);
-    }
-    for (experiment::MemSystem ms : experiment::allMemSystems()) {
-        util::TextTable table(
-            workload::appName(app) + " on " +
-            experiment::memSystemName(ms) +
-            " (normalized to RANDOM on the same memory system)");
-        std::vector<std::string> header{"algorithm"};
-        header.insert(header.end(), cols.begin(), cols.end());
-        table.setHeader(header);
-        for (placement::Algorithm alg :
-             placement::figureAlgorithms()) {
-            std::vector<std::string> row{
-                placement::algorithmName(alg)};
-            row.resize(1 + cols.size());
-            for (const auto &pt : points) {
-                if (pt.memSystem != ms || pt.alg != alg)
-                    continue;
-                auto it = std::find(cols.begin(), cols.end(),
-                                    pt.point.label());
-                row[1 + static_cast<size_t>(it - cols.begin())] =
-                    pt.failed
-                        ? "FAILED"
-                        : util::fmtFixed(pt.normalizedToRandom, 3);
-            }
-            table.addRow(row);
-        }
-        table.print();
-
-        // Memory-system behavior at the largest machine point, from
-        // the RANDOM cell (every algorithm sees the same hierarchy).
-        for (auto rit = points.rbegin(); rit != points.rend();
-             ++rit) {
-            if (rit->memSystem != ms ||
-                rit->alg != placement::Algorithm::Random ||
-                rit->failed)
-                continue;
-            uint64_t lookups = rit->l2Hits + rit->l2Misses;
-            if (lookups || rit->netQueueingCycles) {
-                std::printf("  at %s: L2 hit rate %s (%llu lookups), "
-                            "interconnect queueing %llu cycles\n",
-                            rit->point.label().c_str(),
-                            lookups
-                                ? util::fmtPercent(
-                                      static_cast<double>(
-                                          rit->l2Hits) /
-                                      static_cast<double>(lookups))
-                                      .c_str()
-                                : "n/a",
-                            static_cast<unsigned long long>(lookups),
-                            static_cast<unsigned long long>(
-                                rit->netQueueingCycles));
-            }
-            break;
-        }
-        std::printf("\n");
-    }
-
-    std::printf("hierarchy: %zu cells (%zu unique), %zu replayed "
-                "from checkpoint, %zu simulated, %zu failed\n",
-                stats.total, stats.unique, stats.fromCheckpoint,
-                stats.executed, stats.failed);
-    if (stats.cancelled)
-        std::printf("cancelled: %zu cells skipped (signal %d)\n",
-                    stats.cancelled, static_cast<int>(gSignal));
-    std::string summary = experiment::renderFailureSummary(failures);
-    if (!summary.empty())
-        std::printf("%s", summary.c_str());
-
-    if (!csvPath.empty()) {
-        experiment::writeHierarchyCsv(csvPath, points);
-        std::printf("(wrote %s)\n", csvPath.c_str());
-    }
-    if (!metricsPath.empty()) {
-        obs::Registry::instance().writeJsonFile(metricsPath);
-        std::printf("(wrote %s)\n", metricsPath.c_str());
-    }
-    if (gCancel.cancelled()) {
-        std::printf("interrupted: resume with the same --checkpoint "
-                    "to finish the remaining cells\n");
-        return kExitInterrupted;
-    }
-    return failures.empty() ? 0 : kExitDegraded;
-}
-
-/**
- * `tsp_run chaos`: the full fault-site x failure-kind matrix (see
+ * `tsp-run chaos`: the full fault-site x failure-kind matrix (see
  * docs/robustness.md). Each cell arms one deterministic fault, runs a
  * checkpointed sweep + trace roundtrip + CSV report, and checks the
  * no-crash / clean-degrade-or-resume / bit-identical-recovery
@@ -531,29 +424,25 @@ runChaos(int argc, char **argv)
 {
     experiment::chaos::Options opt;
     opt.verbose = true;
-    for (int i = 2; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--scale"))
-            opt.scale = util::parseUnsigned32(next("--scale"),
-                                              "--scale", 1);
-        else if (!std::strcmp(argv[i], "--jobs"))
-            opt.jobs = util::parseUnsigned32(next("--jobs"), "--jobs",
-                                             0, 4096);
-        else if (!std::strcmp(argv[i], "--app"))
-            opt.app = workload::appByName(next("--app"));
-        else if (!std::strcmp(argv[i], "--workdir"))
-            opt.workDir = next("--workdir");
-        else if (!std::strcmp(argv[i], "--verbose"))
+    SharedFlags shared{.accepted = SharedFlags::kScale | SharedFlags::kJobs,
+                       .scale = opt.scale,
+                       .jobs = opt.jobs};
+    for (Args args(argc, argv, 2); args.next();) {
+        if (shared.parse(args))
+            continue;
+        if (args.is("--app"))
+            opt.app = workload::appByName(args.value());
+        else if (args.is("--workdir"))
+            opt.workDir = args.value();
+        else if (args.is("--verbose"))
             opt.verbose = true;
-        else if (!std::strcmp(argv[i], "--quiet"))
+        else if (args.is("--quiet"))
             opt.verbose = false;
         else
             return usage();
     }
+    opt.scale = shared.scale;
+    opt.jobs = shared.jobs;
     // The svc daemon/store leg joins the scenario so the four service
     // fault sites are reachable (docs/robustness.md).
     opt.extension = svc::chaosLeg(opt.app, opt.scale);
@@ -570,25 +459,6 @@ runChaos(int argc, char **argv)
     return matrix.allPassed() ? 0 : kExitDegraded;
 }
 
-/** Comma-separated unsigned list, e.g. --window 20000,50000. */
-std::vector<uint64_t>
-parseList(const char *text, const char *flag)
-{
-    std::vector<uint64_t> out;
-    std::string item;
-    for (const char *p = text;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            out.push_back(util::parseUnsigned(item, flag, 1));
-            item.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            item += *p;
-        }
-    }
-    return out;
-}
-
 /**
  * BBV phase-sampling error-vs-speed study: for each application and
  * each (window, clusters) setting, compare the phase-sampled estimate
@@ -601,63 +471,44 @@ runSample(int argc, char **argv)
 {
     std::vector<workload::AppProfile> profiles;
     experiment::SamplingStudyOptions options;
-    options.scale = workload::defaultScale();
-    options.windows.clear();
-    options.clusters.clear();
+    SharedFlags shared{.accepted =
+                           SharedFlags::kScale | SharedFlags::kParanoid};
     std::string csvPath;
     uint32_t synthThreads = 0;
     uint64_t synthMean = 50'000;
-    for (int i = 2; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--app"))
+    for (Args args(argc, argv, 2); args.next();) {
+        if (shared.parse(args))
+            continue;
+        if (args.is("--app")) {
             profiles.push_back(
-                workload::profile(workload::appByName(next("--app"))));
-        else if (!std::strcmp(argv[i], "--threads"))
-            synthThreads = util::parseUnsigned32(
-                next("--threads"), "--threads", 2, sim::kMaxProcessors);
-        else if (!std::strcmp(argv[i], "--mean"))
-            synthMean =
-                util::parseUnsigned(next("--mean"), "--mean", 1);
-        else if (!std::strcmp(argv[i], "--scale"))
-            options.scale = util::parseUnsigned32(next("--scale"),
-                                                  "--scale", 1);
-        else if (!std::strcmp(argv[i], "--length-mult"))
-            options.lengthMult = util::parseUnsigned32(
-                next("--length-mult"), "--length-mult", 1, 1024);
-        else if (!std::strcmp(argv[i], "--window"))
-            options.windows = parseList(next("--window"), "--window");
-        else if (!std::strcmp(argv[i], "--clusters")) {
-            options.clusters.clear();
-            for (uint64_t k : parseList(next("--clusters"),
-                                        "--clusters"))
-                options.clusters.push_back(
-                    static_cast<uint32_t>(k));
-        }
-        else if (!std::strcmp(argv[i], "--warmup"))
-            options.warmupWindows = util::parseUnsigned32(
-                next("--warmup"), "--warmup", 0, 64);
-        else if (!std::strcmp(argv[i], "--csv"))
-            csvPath = next("--csv");
-        else if (!std::strcmp(argv[i], "--paranoid"))
-            sim::setDefaultParanoidEvery(util::parseUnsigned(
-                next("--paranoid"), "--paranoid"));
-        else
+                workload::profile(workload::appByName(args.value())));
+        } else if (args.is("--threads")) {
+            synthThreads = args.number32(2, sim::kMaxProcessors);
+        } else if (args.is("--mean")) {
+            synthMean = args.number(1);
+        } else if (args.is("--length-mult")) {
+            options.lengthMult = args.number32(1, 1024);
+        } else if (args.is("--window")) {
+            options.windows = util::parseList(args.value(), "--window", 1);
+        } else if (args.is("--clusters")) {
+            const auto ks =
+                util::parseList(args.value(), "--clusters", 1, UINT32_MAX);
+            options.clusters.assign(ks.begin(), ks.end());
+        } else if (args.is("--warmup")) {
+            options.warmupWindows = args.number32(0, 64);
+        } else if (args.is("--csv")) {
+            csvPath = args.value();
+        } else {
             return usage();
+        }
     }
+    options.scale = shared.scale;
     if (synthThreads)
         profiles.push_back(
             experiment::syntheticScaleProfile(synthThreads, synthMean));
     if (profiles.empty())
         for (workload::AppId app : workload::allApps())
             profiles.push_back(workload::profile(app));
-    if (options.windows.empty())
-        options.windows = {20'000, 50'000};
-    if (options.clusters.empty())
-        options.clusters = {4, 8};
 
     experiment::SamplingStudy study =
         experiment::samplingStudy(profiles, options);
@@ -678,6 +529,115 @@ runSample(int argc, char **argv)
     return 0;
 }
 
+/**
+ * `tsp-run <app> <algorithm> <processors>`: one placement, one
+ * simulation, the full statistics.
+ */
+int
+runOne(int argc, char **argv)
+{
+    if (argc < 4)
+        return usage();
+    workload::AppId app = workload::appByName(argv[1]);
+    auto alg = placement::algorithmFromName(argv[2]);
+    if (!alg) {
+        std::fprintf(stderr, "unknown algorithm: %s\n", argv[2]);
+        return usage();
+    }
+    uint32_t procs = util::parseUnsigned32(argv[3], "processors", 1,
+                                           sim::kMaxProcessors);
+
+    SharedFlags shared;
+    uint32_t contexts = 0, assoc = 1, latency = 50, switchCy = 6;
+    uint64_t cacheBytes = 0;
+    bool infinite = false, profile = false;
+    for (Args args(argc, argv, 4); args.next();) {
+        if (shared.parse(args))
+            continue;
+        if (args.is("--contexts"))
+            contexts = args.number32(1);
+        else if (args.is("--cache"))
+            cacheBytes = args.number(1);
+        else if (args.is("--assoc"))
+            assoc = args.number32(1);
+        else if (args.is("--latency"))
+            latency = args.number32(1);
+        else if (args.is("--switch"))
+            switchCy = args.number32();
+        else if (args.is("--infinite"))
+            infinite = true;
+        else if (args.is("--profile"))
+            profile = true;
+        else
+            return usage();
+    }
+    util::ThreadPool::setDefaultJobs(shared.jobs);
+
+    experiment::Lab lab(shared.scale);
+    const auto &an = lab.analysis(app);
+    if (contexts == 0) {
+        contexts = static_cast<uint32_t>(
+            util::divCeil(an.threadCount(), procs));
+    }
+
+    sim::SimConfig cfg = lab.configFor(app, {procs, contexts}, infinite);
+    if (cacheBytes)
+        cfg.cacheBytes = cacheBytes;
+    cfg.associativity = assoc;
+    cfg.memoryLatency = latency;
+    cfg.contextSwitchCycles = switchCy;
+    cfg.profileSharing = profile;
+    cfg.validate();
+
+    auto placement = lab.placementFor(app, *alg, procs);
+    auto stats = sim::simulate(cfg, lab.traces(app), placement);
+
+    std::printf("%s | %s | %s\n", workload::appName(app).c_str(),
+                placement::algorithmName(*alg).c_str(),
+                cfg.describe().c_str());
+    std::printf("placement: %s\n", placement.describe().c_str());
+    std::printf("load imbalance: %s\n\n",
+                util::fmtFixed(placement.loadImbalance(an.threadLength()),
+                               3)
+                    .c_str());
+
+    util::TextTable table;
+    table.setHeader({"metric", "value"});
+    auto add = [&](const std::string &k, uint64_t v) {
+        table.addRow({k, util::fmtThousands(static_cast<int64_t>(v))});
+    };
+    add("execution time (cycles)", stats.executionTime());
+    add("instructions", stats.totalInstructions());
+    add("data references", stats.totalMemRefs());
+    add("hits", stats.totalHits());
+    add("compulsory misses",
+        stats.totalMissCount(sim::MissKind::Compulsory));
+    add("intra-thread conflicts",
+        stats.totalMissCount(sim::MissKind::IntraConflict));
+    add("inter-thread conflicts",
+        stats.totalMissCount(sim::MissKind::InterConflict));
+    add("invalidation misses",
+        stats.totalMissCount(sim::MissKind::Invalidation));
+    add("upgrades", stats.totalUpgrades());
+    add("invalidations sent", stats.totalInvalidationsSent());
+    add("sharing compulsory", stats.sharingCompulsoryMisses);
+    table.addRow({"miss rate", util::fmtPercent(stats.missRate())});
+    table.print();
+
+    if (stats.profiledSharing) {
+        const auto &p = stats.sharingProfile;
+        std::printf("\nsharing profile: %llu shared blocks "
+                    "(read-only %s, migratory %s), mean write run "
+                    "%s\n",
+                    static_cast<unsigned long long>(p.sharedBlocks),
+                    util::fmtPercent(p.readOnlyFraction(), 1).c_str(),
+                    util::fmtPercent(p.migratoryFraction(), 1).c_str(),
+                    util::fmtFixed(p.writeRunLength.mean(), 1).c_str());
+    }
+    shared.writeMetrics();
+    return 0;
+}
+
 } // namespace
 
 int
@@ -686,150 +646,14 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     try {
-        if (!std::strcmp(argv[1], "sweep"))
+        if (!std::strcmp(argv[1], "sweep") ||
+            !std::strcmp(argv[1], "hierarchy"))
             return runSweep(argc, argv);
-        if (!std::strcmp(argv[1], "hierarchy"))
-            return runHierarchy(argc, argv);
         if (!std::strcmp(argv[1], "chaos"))
             return runChaos(argc, argv);
         if (!std::strcmp(argv[1], "sample"))
             return runSample(argc, argv);
-        if (argc < 4)
-            return usage();
-
-        workload::AppId app = workload::appByName(argv[1]);
-        auto alg = placement::algorithmFromName(argv[2]);
-        if (!alg) {
-            std::fprintf(stderr, "unknown algorithm: %s\n", argv[2]);
-            return usage();
-        }
-        uint32_t procs = util::parseUnsigned32(
-            argv[3], "processors", 1, sim::kMaxProcessors);
-
-        uint32_t contexts = 0, assoc = 1, latency = 50, switchCy = 6;
-        uint64_t cacheBytes = 0;
-        uint32_t scale = workload::defaultScale();
-        bool infinite = false, profile = false;
-        std::string metricsPath;
-        for (int i = 4; i < argc; ++i) {
-            auto next = [&](const char *flag) -> const char * {
-                util::fatalIf(i + 1 >= argc,
-                              std::string(flag) + " needs a value");
-                return argv[++i];
-            };
-            if (!std::strcmp(argv[i], "--contexts"))
-                contexts = util::parseUnsigned32(next("--contexts"),
-                                                 "--contexts", 1);
-            else if (!std::strcmp(argv[i], "--cache"))
-                cacheBytes = util::parseUnsigned(next("--cache"),
-                                                 "--cache", 1);
-            else if (!std::strcmp(argv[i], "--assoc"))
-                assoc = util::parseUnsigned32(next("--assoc"),
-                                              "--assoc", 1);
-            else if (!std::strcmp(argv[i], "--latency"))
-                latency = util::parseUnsigned32(next("--latency"),
-                                                "--latency", 1);
-            else if (!std::strcmp(argv[i], "--switch"))
-                switchCy = util::parseUnsigned32(next("--switch"),
-                                                 "--switch");
-            else if (!std::strcmp(argv[i], "--scale"))
-                scale = util::parseUnsigned32(next("--scale"),
-                                              "--scale", 1);
-            else if (!std::strcmp(argv[i], "--infinite"))
-                infinite = true;
-            else if (!std::strcmp(argv[i], "--profile"))
-                profile = true;
-            else if (!std::strcmp(argv[i], "--jobs"))
-                util::ThreadPool::setDefaultJobs(util::parseUnsigned32(
-                    next("--jobs"), "--jobs", 0, 4096));
-            else if (!std::strcmp(argv[i], "--metrics-out"))
-                metricsPath = next("--metrics-out");
-            else if (!std::strcmp(argv[i], "--fault"))
-                fault::arm(next("--fault"));
-            else if (!std::strcmp(argv[i], "--paranoid"))
-                sim::setDefaultParanoidEvery(util::parseUnsigned(
-                    next("--paranoid"), "--paranoid"));
-            else
-                return usage();
-        }
-
-        if (!metricsPath.empty())
-            obs::setMetricsEnabled(true);
-
-        experiment::Lab lab(scale);
-        const auto &an = lab.analysis(app);
-        if (contexts == 0) {
-            contexts = static_cast<uint32_t>(
-                util::divCeil(an.threadCount(), procs));
-        }
-
-        sim::SimConfig cfg =
-            lab.configFor(app, {procs, contexts}, infinite);
-        if (cacheBytes)
-            cfg.cacheBytes = cacheBytes;
-        cfg.associativity = assoc;
-        cfg.memoryLatency = latency;
-        cfg.contextSwitchCycles = switchCy;
-        cfg.profileSharing = profile;
-        cfg.validate();
-
-        auto placement = lab.placementFor(app, *alg, procs);
-        auto stats = sim::simulate(cfg, lab.traces(app), placement);
-
-        std::printf("%s | %s | %s\n", workload::appName(app).c_str(),
-                    placement::algorithmName(*alg).c_str(),
-                    cfg.describe().c_str());
-        std::printf("placement: %s\n", placement.describe().c_str());
-        std::printf("load imbalance: %s\n\n",
-                    util::fmtFixed(placement.loadImbalance(
-                                       an.threadLength()),
-                                   3)
-                        .c_str());
-
-        util::TextTable table;
-        table.setHeader({"metric", "value"});
-        auto add = [&](const std::string &k, uint64_t v) {
-            table.addRow({k, util::fmtThousands(
-                                 static_cast<int64_t>(v))});
-        };
-        add("execution time (cycles)", stats.executionTime());
-        add("instructions", stats.totalInstructions());
-        add("data references", stats.totalMemRefs());
-        add("hits", stats.totalHits());
-        add("compulsory misses",
-            stats.totalMissCount(sim::MissKind::Compulsory));
-        add("intra-thread conflicts",
-            stats.totalMissCount(sim::MissKind::IntraConflict));
-        add("inter-thread conflicts",
-            stats.totalMissCount(sim::MissKind::InterConflict));
-        add("invalidation misses",
-            stats.totalMissCount(sim::MissKind::Invalidation));
-        add("upgrades", stats.totalUpgrades());
-        add("invalidations sent", stats.totalInvalidationsSent());
-        add("sharing compulsory", stats.sharingCompulsoryMisses);
-        table.addRow({"miss rate",
-                      util::fmtPercent(stats.missRate())});
-        table.print();
-
-        if (stats.profiledSharing) {
-            const auto &p = stats.sharingProfile;
-            std::printf("\nsharing profile: %llu shared blocks "
-                        "(read-only %s, migratory %s), mean write run "
-                        "%s\n",
-                        static_cast<unsigned long long>(
-                            p.sharedBlocks),
-                        util::fmtPercent(p.readOnlyFraction(), 1)
-                            .c_str(),
-                        util::fmtPercent(p.migratoryFraction(), 1)
-                            .c_str(),
-                        util::fmtFixed(p.writeRunLength.mean(), 1)
-                            .c_str());
-        }
-        if (!metricsPath.empty()) {
-            obs::Registry::instance().writeJsonFile(metricsPath);
-            std::printf("(wrote %s)\n", metricsPath.c_str());
-        }
-        return 0;
+        return runOne(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
