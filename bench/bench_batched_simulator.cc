@@ -141,9 +141,8 @@ BM_ChunkedTraceGeneration(benchmark::State &state)
     for (auto _ : state) {
         workload::AppStreamFactory factory(p, 1);
         trace::SharedTraceStream stream(factory, 1);
-        trace::TraceSource &lane = stream.lane(0);
-        for (uint32_t tid = 0; tid < lane.threadCount(); ++tid) {
-            trace::ChunkFeed &feed = lane.openThread(tid);
+        for (uint32_t tid = 0; tid < factory.threadCount(); ++tid) {
+            trace::ChunkFeed &feed = stream.feed(0, tid);
             const trace::TraceEvent *begin = nullptr;
             const trace::TraceEvent *end = nullptr;
             while (feed.next(&begin, &end))

@@ -76,7 +76,7 @@ main()
     std::string path = "/tmp/tsp_custom_workload.tspt";
     trace::saveFile(traces, path);
     auto loaded = trace::loadFile(path);
-    std::printf("\nsaved and reloaded '%s': %zu threads, %s "
+    std::printf("\nsaved and reloaded '%s': %u threads, %s "
                 "instructions\n",
                 loaded.name().c_str(), loaded.threadCount(),
                 util::fmtCompact(static_cast<double>(

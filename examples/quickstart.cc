@@ -38,7 +38,7 @@ main()
     app.globalWriteMode = workload::GlobalWriteMode::Migratory;
     app.seed = 2024;
     trace::TraceSet traces = workload::generateTraces(app);
-    std::printf("generated %zu threads, %s instructions, %s data refs\n",
+    std::printf("generated %u threads, %s instructions, %s data refs\n",
                 traces.threadCount(),
                 util::fmtCompact(static_cast<double>(
                     traces.totalInstructions())).c_str(),

@@ -139,7 +139,7 @@ TSP_OBS_COUNTER(simL2Misses, "sim.l2_misses", "sim::SharedL2",
                 "L1 misses the shared L2 also missed (memory fills)")
 TSP_OBS_COUNTER(simNetQueueDelay, "sim.net_queue_delay",
                 "sim::Interconnect",
-                "cycles transactions waited on busy links/channels")
+                "cycles transactions waited on busy links")
 
 TSP_OBS_COUNTER(traceChunkRefills, "trace.chunk_refills",
                 "trace::SharedTraceStream",

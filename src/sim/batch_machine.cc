@@ -11,12 +11,12 @@ namespace tsp::sim {
 
 BatchMachine::BatchMachine(std::vector<BatchLane> lanes,
                            const trace::TraceSet &traces)
-    : traces_(&traces)
 {
     util::fatalIf(lanes.empty(), "a batch needs >= 1 lane");
     lanes_.reserve(lanes.size());
     for (BatchLane &lane : lanes)
-        lanes_.push_back(Lane{std::move(lane), nullptr, {}, false});
+        lanes_.push_back(Lane{std::move(lane), &traces, nullptr, {},
+                              false});
 }
 
 BatchMachine::BatchMachine(std::vector<BatchLane> lanes,
@@ -27,8 +27,11 @@ BatchMachine::BatchMachine(std::vector<BatchLane> lanes,
     util::fatalIf(stream.laneCount() != lanes.size(),
                   "stream was built for a different lane count");
     lanes_.reserve(lanes.size());
-    for (BatchLane &lane : lanes)
-        lanes_.push_back(Lane{std::move(lane), nullptr, {}, false});
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        lanes_.push_back(Lane{std::move(lanes[i]),
+                              &stream.lane(static_cast<uint32_t>(i)),
+                              nullptr, {}, false});
+    }
 }
 
 void
@@ -61,15 +64,8 @@ BatchMachine::run(uint64_t chainQuantum)
         Lane &lane = lanes_[i];
         try {
             TSP_FAULT_POINT("batch.lane");
-            if (stream_) {
-                lane.machine = std::make_unique<Machine>(
-                    lane.spec.cfg,
-                    stream_->lane(static_cast<uint32_t>(i)),
-                    lane.spec.placement);
-            } else {
-                lane.machine = std::make_unique<Machine>(
-                    lane.spec.cfg, *traces_, lane.spec.placement);
-            }
+            lane.machine = std::make_unique<Machine>(
+                lane.spec.cfg, *lane.source, lane.spec.placement);
         } catch (const util::PanicError &) {
             throw;  // library bug: poison the whole batch
         } catch (const std::exception &e) {

@@ -91,6 +91,7 @@ class BatchMachine
     struct Lane
     {
         BatchLane spec;
+        const trace::TraceSource *source = nullptr;
         std::unique_ptr<Machine> machine;
         LaneResult result;
         bool done = false;
@@ -100,7 +101,6 @@ class BatchMachine
     void failLane(size_t i, const std::string &what);
 
     std::vector<Lane> lanes_;
-    const trace::TraceSet *traces_ = nullptr;
     trace::SharedTraceStream *stream_ = nullptr;
     bool ran_ = false;
 };

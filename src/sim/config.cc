@@ -91,9 +91,6 @@ SimConfig::validate() const
                       "L2 hit latency must be in [1, memoryLatency)");
     }
     util::fatalIf(networkLinks > 4096, "implausible link count");
-    util::fatalIf(networkLinks > 0 && networkChannels > 0,
-                  "networkLinks and networkChannels are alternative "
-                  "contention models; enable at most one");
     util::fatalIf(networkLinks > 0 && linkOccupancy == 0,
                   "link occupancy must be >= 1 cycle");
 }
@@ -120,13 +117,8 @@ memSystemKnobs()
          "power of two in [1, 64]"},
         {"l2HitLatency", num(d.l2HitLatency), "[1, memoryLatency)"},
         {"l2Inclusive", onOff(d.l2Inclusive), "true / false"},
-        {"networkChannels", num(d.networkChannels),
-         "0 (contention-free) or [1, 4096]; exclusive with "
-         "networkLinks"},
-        {"channelOccupancy", num(d.channelOccupancy), ">= 1 cycle"},
         {"networkLinks", num(d.networkLinks),
-         "0 (contention-free) or [1, 4096]; exclusive with "
-         "networkChannels"},
+         "0 (contention-free) or [1, 4096]"},
         {"linkOccupancy", num(d.linkOccupancy), ">= 1 cycle"},
     };
 }

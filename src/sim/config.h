@@ -121,22 +121,10 @@ struct SimConfig
     bool l2Inclusive = true;
 
     /**
-     * Interconnect channels. 0 (default) reproduces the paper's
-     * contention-free multipath network; a positive count bounds the
-     * transactions in flight, each occupying its channel for
-     * channelOccupancy cycles (see sim/interconnect.h).
-     */
-    uint32_t networkChannels = 0;
-
-    /** Channel occupancy per transaction, in cycles. */
-    uint32_t channelOccupancy = 4;
-
-    /**
      * Queued-interconnect contention model: address-interleaved links,
      * each a FIFO a transaction occupies for linkOccupancy cycles, so
      * latency grows with the queue a miss finds. 0 (default) keeps the
-     * paper's contention-free flat latency. Mutually exclusive with
-     * networkChannels (see sim/interconnect.h).
+     * paper's contention-free flat latency (see sim/interconnect.h).
      */
     uint32_t networkLinks = 0;
 

@@ -2,30 +2,13 @@
 
 #include <algorithm>
 
-#include "util/error.h"
-
 namespace tsp::sim {
 
-Interconnect::Interconnect(uint32_t channels, uint32_t baseLatency,
-                           uint32_t occupancy)
-    : baseLatency_(baseLatency), occupancy_(occupancy)
-{
-    util::fatalIf(channels > 4096, "implausible channel count");
-    freeAt_.assign(channels, 0);
-}
-
 Interconnect::Interconnect(const SimConfig &cfg)
-    : baseLatency_(cfg.memoryLatency)
+    : occupancy_(cfg.linkOccupancy)
 {
     cfg.validate();
-    if (cfg.networkLinks > 0) {
-        interleaved_ = true;
-        occupancy_ = cfg.linkOccupancy;
-        freeAt_.assign(cfg.networkLinks, 0);
-    } else {
-        occupancy_ = cfg.channelOccupancy;
-        freeAt_.assign(cfg.networkChannels, 0);
-    }
+    freeAt_.assign(cfg.networkLinks, 0);
 }
 
 uint64_t
@@ -35,27 +18,15 @@ Interconnect::queueDelay(uint64_t now, uint64_t block)
     if (freeAt_.empty())
         return 0;  // contention-free multipath (the paper)
 
-    uint64_t *slot;
-    if (interleaved_) {
-        // Queued link: the block's address picks its FIFO.
-        slot = &freeAt_[block % freeAt_.size()];
-    } else {
-        // Channels: any free path will do; take the earliest.
-        slot = &*std::min_element(freeAt_.begin(), freeAt_.end());
-    }
-    uint64_t start = std::max(now, *slot);
+    // Queued link: the block's address picks its FIFO.
+    uint64_t &slot = freeAt_[block % freeAt_.size()];
+    uint64_t start = std::max(now, slot);
     uint64_t wait = start - now;
-    *slot = start + occupancy_;
+    slot = start + occupancy_;
 
     queueing_ += wait;
     maxQueueing_ = std::max(maxQueueing_, wait);
     return wait;
-}
-
-uint64_t
-Interconnect::transactionLatency(uint64_t now)
-{
-    return queueDelay(now, 0) + baseLatency_;
 }
 
 } // namespace tsp::sim

@@ -3,16 +3,12 @@
  * Interconnect model. The paper "assumes a multipath network and does
  * not explicitly model network contention", approximating memory
  * access with a flat 50-cycle latency. This class reproduces that
- * default (unlimited channels) and additionally offers two bounded
- * contention modes, at most one of which may be enabled:
- *
- *  - channels (SimConfig::networkChannels): k interchangeable paths;
- *    a transaction takes whichever channel frees first and occupies
- *    it for channelOccupancy cycles (`bench_ablation_bandwidth`);
- *  - queued links (SimConfig::networkLinks): address-interleaved
- *    FIFOs — a transaction on block B queues on link B mod k and
- *    occupies it for linkOccupancy cycles, so latency grows with the
- *    queue a miss finds and hot blocks contend with themselves.
+ * default and additionally offers one bounded contention model, queued
+ * links (SimConfig::networkLinks): address-interleaved FIFOs — a
+ * transaction on block B queues on link B mod k and occupies it for
+ * linkOccupancy cycles, so latency grows with the queue a miss finds
+ * and hot blocks contend with themselves. One link serializes every
+ * transaction (`bench_ablation_bandwidth` sweeps the link count).
  *
  * The queueing delay is exposed separately from the fill latency
  * (queueDelay) so the Machine can combine it with whatever the miss
@@ -30,59 +26,36 @@
 namespace tsp::sim {
 
 /**
- * Latency/occupancy model for memory transactions.
+ * Queueing model for memory transactions.
  */
 class Interconnect
 {
   public:
     /**
-     * Channels-mode constructor (kept for the channel ablation and
-     * its tests).
-     *
-     * @param channels    parallel paths; 0 means unlimited (the
-     *                    paper's contention-free model)
-     * @param baseLatency cycles a transaction takes once on a channel
-     * @param occupancy   cycles a transaction occupies its channel
-     */
-    Interconnect(uint32_t channels, uint32_t baseLatency,
-                 uint32_t occupancy);
-
-    /**
-     * Construct the mode @p cfg selects: queued links when
-     * cfg.networkLinks > 0, channels when cfg.networkChannels > 0,
-     * contention-free otherwise (validate() rejects both at once).
+     * Queued links when cfg.networkLinks > 0, contention-free
+     * otherwise (@p cfg is validated here).
      */
     explicit Interconnect(const SimConfig &cfg);
 
     /**
      * Issue a transaction for @p block at time @p now; returns the
-     * cycles it waits before its memory access can start (0 in the
-     * contention-free mode). @p block picks the link in queued-links
-     * mode and is ignored by the channels mode.
+     * cycles it waits on its link before its memory access can start
+     * (0 in the contention-free mode).
      */
     uint64_t queueDelay(uint64_t now, uint64_t block);
-
-    /**
-     * Issue a transaction at time @p now; returns the total latency
-     * (queueing + base) the issuing context observes. Equivalent to
-     * queueDelay(now, 0) + the base latency.
-     */
-    uint64_t transactionLatency(uint64_t now);
 
     /** Transactions issued so far. */
     uint64_t transactions() const { return transactions_; }
 
-    /** Total cycles transactions spent waiting for a channel/link. */
+    /** Total cycles transactions spent waiting for a link. */
     uint64_t queueingCycles() const { return queueing_; }
 
     /** Worst single-transaction queueing delay seen. */
     uint64_t maxQueueing() const { return maxQueueing_; }
 
   private:
-    uint32_t baseLatency_;
     uint32_t occupancy_;
-    bool interleaved_ = false;  //!< links mode: index by block, FIFO
-    std::vector<uint64_t> freeAt_;  //!< per channel/link; empty when
+    std::vector<uint64_t> freeAt_;  //!< per link; empty when
                                     //!< contention-free
 
     uint64_t transactions_ = 0;

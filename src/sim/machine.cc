@@ -11,43 +11,14 @@
 
 namespace tsp::sim {
 
-Machine::Machine(const SimConfig &cfg, const trace::TraceSet &traces,
-                 const placement::PlacementMap &placement)
-    : cfg_(cfg), traces_(&traces),
-      directory_(cfg.processors, cfg.protocol),
-      interconnect_(cfg)
-{
-    construct(placement);
-}
-
-Machine::Machine(const SimConfig &cfg, trace::TraceSource &source,
+Machine::Machine(const SimConfig &cfg, const trace::TraceSource &source,
                  const placement::PlacementMap &placement)
     : cfg_(cfg), source_(&source),
       directory_(cfg.processors, cfg.protocol),
       interconnect_(cfg)
 {
-    construct(placement);
-}
-
-uint32_t
-Machine::threadCountOf() const
-{
-    return traces_ ? static_cast<uint32_t>(traces_->threadCount())
-                   : source_->threadCount();
-}
-
-uint64_t
-Machine::barrierCountOf(uint32_t tid) const
-{
-    return traces_ ? traces_->thread(tid).barrierCount()
-                   : source_->barrierCount(tid);
-}
-
-void
-Machine::construct(const placement::PlacementMap &placement)
-{
     cfg_.validate();
-    const uint32_t threads = threadCountOf();
+    const uint32_t threads = source.threadCount();
     util::fatalIf(placement.threadCount() != threads,
                   "placement and trace set disagree on thread count");
     util::fatalIf(placement.processors() != cfg_.processors,
@@ -68,11 +39,10 @@ Machine::construct(const placement::PlacementMap &placement)
 
     // Pre-size every hash table and queue from the trace census so the
     // event loop never rehashes or reallocates (the allocation-free
-    // steady state tests/sim_alloc_test.cc pins). In streaming mode
-    // the source runs a dedicated census pass (memoized across lanes).
-    const trace::TraceSet::TouchedBlocks &touched = traces_
-        ? traces_->touchedBlocks(blockShift_)
-        : source_->touchedBlocks(blockShift_);
+    // steady state tests/sim_alloc_test.cc pins). A streamed source
+    // runs a dedicated census pass (memoized across lanes).
+    const trace::TraceSource::TouchedBlocks &touched =
+        source.touchedBlocks(blockShift_);
     directory_.reserveBlocks(touched.total);
     barrierWaiters_.reserve(threads);
     if (cfg_.l2Bytes > 0)
@@ -87,13 +57,13 @@ Machine::construct(const placement::PlacementMap &placement)
 
     // Barrier discovery and validation: either no thread uses
     // barriers, or all threads execute the same number of them.
-    uint64_t barriers = threads ? barrierCountOf(0) : 0;
+    uint64_t barriers = threads ? source.barrierCount(0) : 0;
     bool anyBarriers = false;
     for (uint32_t tid = 0; tid < threads; ++tid) {
-        util::fatalIf(barrierCountOf(tid) != barriers,
+        util::fatalIf(source.barrierCount(tid) != barriers,
                       "all threads must execute the same barrier "
                       "sequence");
-        anyBarriers |= barrierCountOf(tid) > 0;
+        anyBarriers |= source.barrierCount(tid) > 0;
     }
     if (anyBarriers)
         barrierParticipants_ = threads;
@@ -128,10 +98,7 @@ Machine::loadThread(Proc &proc, size_t c, uint32_t tid, uint64_t now)
 {
     Context &ctx = proc.ctxs[c];
     ctx.thread = static_cast<int32_t>(tid);
-    if (traces_)
-        ctx.cursor.emplace(traces_->thread(tid));
-    else
-        ctx.cursor.emplace(source_->openThread(tid));
+    ctx.cursor.emplace(source_->openThread(tid));
     ctx.readyAt = now;
     if (c < 64)
         proc.liveMask |= 1ull << c;
@@ -727,11 +694,11 @@ recordRunMetrics(const SimStats &stats, const Machine &machine,
 }
 
 SimStats
-simulate(const SimConfig &cfg, const trace::TraceSet &traces,
+simulate(const SimConfig &cfg, const trace::TraceSource &source,
          const placement::PlacementMap &placement)
 {
     obs::StopWatch watch;
-    Machine machine(cfg, traces, placement);
+    Machine machine(cfg, source, placement);
     SimStats stats = machine.run();
     // Per-run aggregation at the simulate() boundary: one batch of
     // counter adds per run, zero accounting in the event loop.
@@ -744,17 +711,14 @@ simulateStreaming(const SimConfig &cfg, trace::StreamFactory &factory,
                   const placement::PlacementMap &placement,
                   size_t chunkEvents, size_t *residentBytesOut)
 {
-    obs::StopWatch watch;
     trace::SharedTraceStream stream(factory, /*lanes=*/1, chunkEvents);
-    Machine machine(cfg, stream.lane(0), placement);
-    SimStats stats = machine.run();
+    SimStats stats = simulate(cfg, stream.lane(0), placement);
     size_t residentBytes =
         stream.windowEventsHighWater() * sizeof(trace::TraceEvent);
     obs::traceResidentBytes().set(
         static_cast<int64_t>(residentBytes));
     if (residentBytesOut)
         *residentBytesOut = residentBytes;
-    recordRunMetrics(stats, machine, watch.elapsedMs());
     return stats;
 }
 

@@ -10,6 +10,12 @@
  * global time order, so the simulation is exact for the paper's
  * contention-free interconnect model.
  *
+ * The one trace input is a trace::TraceSource: a materialized
+ * TraceSet, or one lane of a streamed SharedTraceStream whose memory
+ * stays bounded by its chunk windows. Both hand the machine the same
+ * event sequence through a TraceCursor, so a run is bit-identical
+ * whichever the source.
+ *
  * Traces may contain barrier markers (EventKind::Barrier); a thread
  * arriving at barrier k blocks until every thread has arrived at
  * barrier k. The paper's trace-driven simulation free-runs the
@@ -51,22 +57,12 @@ class Machine
   public:
     /**
      * @param cfg       architectural parameters (validated here)
-     * @param traces    the application's per-thread traces
+     * @param source    the application's per-thread traces; must
+     *                  outlive the machine
      * @param placement thread -> processor map; processor count must
      *                  match @p cfg
      */
-    Machine(const SimConfig &cfg, const trace::TraceSet &traces,
-            const placement::PlacementMap &placement);
-
-    /**
-     * Streaming variant: consume a trace::TraceSource (chunked feeds)
-     * instead of a materialized TraceSet. Identical simulation — the
-     * cursor re-merges chunk boundaries, so the event sequence is the
-     * one the equivalent TraceSet would produce — with trace memory
-     * bounded by the source's chunk windows. @p source must outlive
-     * the machine.
-     */
-    Machine(const SimConfig &cfg, trace::TraceSource &source,
+    Machine(const SimConfig &cfg, const trace::TraceSource &source,
             const placement::PlacementMap &placement);
 
     /**
@@ -242,18 +238,8 @@ class Machine
         }
     }
 
-    /** Shared tail of both constructors (members above already set). */
-    void construct(const placement::PlacementMap &placement);
-
-    /** Thread count from whichever trace source is bound. */
-    uint32_t threadCountOf() const;
-
-    /** Barrier count of thread @p tid from the bound source. */
-    uint64_t barrierCountOf(uint32_t tid) const;
-
     SimConfig cfg_;
-    const trace::TraceSet *traces_ = nullptr;  //!< materialized mode
-    trace::TraceSource *source_ = nullptr;     //!< streaming mode
+    const trace::TraceSource *source_;
     unsigned blockShift_;
 
     std::vector<Proc> procs_;
@@ -306,16 +292,15 @@ class Machine
 };
 
 /** Convenience wrapper: construct a Machine and run it. */
-SimStats simulate(const SimConfig &cfg, const trace::TraceSet &traces,
+SimStats simulate(const SimConfig &cfg, const trace::TraceSource &source,
                   const placement::PlacementMap &placement);
 
 /**
- * Streaming convenience wrapper: fan @p factory into a single-lane
- * SharedTraceStream and simulate from it, so the trace is generated
- * in bounded chunk windows instead of materialized whole — the path
- * that makes 1024-processor billion-reference runs fit in RAM.
- * Results are bit-identical to simulate() over the materialized
- * equivalent (the cursor re-merges chunk boundaries). Sets the
+ * simulate() over the single lane of a SharedTraceStream fed by
+ * @p factory, so the trace is generated in bounded chunk windows
+ * instead of materialized whole — the path that makes 1024-processor
+ * billion-reference runs fit in RAM. Results are bit-identical to
+ * simulate() over the materialized equivalent. Sets the
  * trace.resident_bytes gauge to the stream's chunk-window high water;
  * @p residentBytesOut (optional) receives the same bound.
  */

@@ -4,8 +4,8 @@
 
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
+#include "trace/touched_block_counter.h"
 #include "util/error.h"
-#include "util/flat_map.h"
 
 namespace tsp::trace {
 
@@ -47,12 +47,11 @@ SharedTraceStream::lane(uint32_t lane)
 }
 
 ChunkFeed &
-SharedTraceStream::LaneSource::openThread(ThreadId tid)
+SharedTraceStream::feed(uint32_t lane, ThreadId tid)
 {
-    util::fatalIf(tid >= owner_->windows_.size(),
-                  "thread id out of range");
-    size_t threads = owner_->windows_.size();
-    return owner_->feeds_[static_cast<size_t>(lane_) * threads + tid];
+    util::fatalIf(lane >= laneCount_, "lane index out of range");
+    util::fatalIf(tid >= windows_.size(), "thread id out of range");
+    return feeds_[static_cast<size_t>(lane) * windows_.size() + tid];
 }
 
 bool
@@ -145,45 +144,29 @@ SharedTraceStream::retireLane(uint32_t lane)
         trim(w);
 }
 
-const TraceSet::TouchedBlocks &
+const TraceSource::TouchedBlocks &
 SharedTraceStream::touchedBlocks(unsigned blockShift)
 {
     auto it = census_.find(blockShift);
     if (it != census_.end())
         return it->second;
 
-    // Dedicated producer pass per thread (openProducer replays
-    // deterministically, so this sees exactly the simulated events);
-    // same counting scheme as TraceSet::touchedBlocks.
-    TraceSet::TouchedBlocks census;
-    uint32_t threads = factory_.threadCount();
-    census.perThread.reserve(threads);
-    util::FlatMap<uint64_t, uint8_t> global;
-    util::FlatMap<uint64_t, uint8_t> local;
+    // Dedicated producer pass per thread: openProducer replays
+    // deterministically, so this sees exactly the simulated events.
+    TouchedBlockCounter counter(blockShift);
     std::vector<TraceEvent> buf;
-    for (ThreadId tid = 0; tid < threads; ++tid) {
-        local.clear();
-        local.reserve(4096);
+    for (ThreadId tid = 0; tid < factory_.threadCount(); ++tid) {
         std::unique_ptr<ChunkProducer> producer =
             factory_.openProducer(tid);
         for (;;) {
             buf.clear();
             if (!producer->produce(buf))
                 break;
-            for (const TraceEvent &e : buf) {
-                EventKind kind = e.kind();
-                if (kind != EventKind::Load && kind != EventKind::Store)
-                    continue;
-                uint64_t block = e.address() >> blockShift;
-                local.tryEmplace(block);
-                global.tryEmplace(block);
-            }
+            counter.count(buf);
         }
-        census.perThread.push_back(local.size());
+        counter.endThread();
     }
-    census.total = global.size();
-    return census_.emplace(blockShift, std::move(census))
-        .first->second;
+    return census_.emplace(blockShift, counter.take()).first->second;
 }
 
 } // namespace tsp::trace

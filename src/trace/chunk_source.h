@@ -9,7 +9,11 @@
  *     workload generator (ChunkProducer per thread, via StreamFactory)
  *         -> SharedTraceStream (bounded per-thread chunk windows)
  *             -> per-lane TraceSource views
- *                 -> trace::ChunkFeed -> TraceCursor (chunked mode)
+ *                 -> TraceCursor over the lane's trace::ChunkFeed
+ *
+ * A lane is a TraceSource like a materialized TraceSet
+ * (trace/trace_set.h), so sim::Machine reads both through one input
+ * path.
  *
  * Memory stays O(chunk x lanes): a chunk is dropped as soon as every
  * lane has moved past it, so the resident window per thread is the
@@ -86,36 +90,6 @@ class StreamFactory
 };
 
 /**
- * What one simulator lane consumes: the streaming counterpart of a
- * const TraceSet&. The Machine sizes itself from threadCount(),
- * barrierCount() and touchedBlocks(), then pulls each thread's events
- * through the ChunkFeed that openThread() returns.
- */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-
-    virtual uint32_t threadCount() const = 0;
-    virtual uint64_t barrierCount(ThreadId tid) const = 0;
-
-    /**
-     * Touched-block census at @p blockShift (one dedicated producer
-     * pass on first call, memoized per shift). Reference valid for the
-     * source's lifetime.
-     */
-    virtual const TraceSet::TouchedBlocks &
-    touchedBlocks(unsigned blockShift) = 0;
-
-    /**
-     * The feed carrying thread @p tid's events to this lane. May be
-     * called once per (lane, tid); the feed lives in the owning
-     * stream.
-     */
-    virtual ChunkFeed &openThread(ThreadId tid) = 0;
-};
-
-/**
  * Fans one StreamFactory out to @p lanes independent TraceSource
  * views, buffering per-thread chunk windows so each lane sees the full
  * event sequence while only the [slowest lane, fastest lane] spread
@@ -136,8 +110,18 @@ class SharedTraceStream
     /** Lane view @p lane (stable reference, owned by the stream). */
     TraceSource &lane(uint32_t lane);
 
-    /** Census shared by all lanes (memoized per shift). */
-    const TraceSet::TouchedBlocks &touchedBlocks(unsigned blockShift);
+    /**
+     * The feed carrying thread @p tid's events to lane @p lane (stable
+     * reference, owned by the stream). The lane's TraceSource wraps it
+     * in a cursor; pull it directly only in place of that lane.
+     */
+    ChunkFeed &feed(uint32_t lane, ThreadId tid);
+
+    /**
+     * Census shared by all lanes: one dedicated producer pass per
+     * thread on first call, memoized per shift.
+     */
+    const TraceSource::TouchedBlocks &touchedBlocks(unsigned blockShift);
 
     /**
      * Drop lane @p lane from the window accounting: its positions no
@@ -203,13 +187,18 @@ class SharedTraceStream
             return owner_->factory_.barrierCount(tid);
         }
 
-        const TraceSet::TouchedBlocks &
-        touchedBlocks(unsigned blockShift) override
+        const TouchedBlocks &
+        touchedBlocks(unsigned blockShift) const override
         {
             return owner_->touchedBlocks(blockShift);
         }
 
-        ChunkFeed &openThread(ThreadId tid) override;
+        /** Call at most once per thread: the feed is the lane's. */
+        TraceCursor
+        openThread(ThreadId tid) const override
+        {
+            return TraceCursor(owner_->feed(lane_, tid));
+        }
 
       private:
         SharedTraceStream *owner_;
@@ -249,7 +238,7 @@ class SharedTraceStream
     std::vector<ThreadWindow> windows_;
     std::vector<LaneSource> laneSources_;
     std::vector<LaneFeed> feeds_;  //!< lane-major: [lane * threads + tid]
-    std::map<unsigned, TraceSet::TouchedBlocks> census_;
+    std::map<unsigned, TraceSource::TouchedBlocks> census_;
     uint64_t refills_ = 0;
     size_t windowEventsNow_ = 0;
     size_t windowEventsHighWater_ = 0;

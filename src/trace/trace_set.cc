@@ -1,9 +1,36 @@
 #include "trace/trace_set.h"
 
+#include "trace/touched_block_counter.h"
 #include "util/error.h"
-#include "util/flat_map.h"
 
 namespace tsp::trace {
+
+void
+TouchedBlockCounter::count(std::span<const TraceEvent> events)
+{
+    for (const TraceEvent &e : events) {
+        EventKind kind = e.kind();
+        if (kind != EventKind::Load && kind != EventKind::Store)
+            continue;
+        uint64_t block = e.address() >> blockShift_;
+        local_.tryEmplace(block);
+        global_.tryEmplace(block);
+    }
+}
+
+void
+TouchedBlockCounter::endThread()
+{
+    census_.perThread.push_back(local_.size());
+    local_.clear();
+}
+
+TraceSource::TouchedBlocks
+TouchedBlockCounter::take()
+{
+    census_.total = global_.size();
+    return std::move(census_);
+}
 
 void
 TraceSet::addThread(ThreadTrace tt)
@@ -41,7 +68,7 @@ TraceSet::threadLengths() const
     return lengths;
 }
 
-const TraceSet::TouchedBlocks &
+const TraceSource::TouchedBlocks &
 TraceSet::touchedBlocks(unsigned blockShift) const
 {
     std::shared_ptr<TouchedMemo> memo = touched_;
@@ -50,25 +77,12 @@ TraceSet::touchedBlocks(unsigned blockShift) const
     if (it != memo->byShift.end())
         return it->second;
 
-    TouchedBlocks census;
-    census.perThread.reserve(threads_.size());
-    util::FlatMap<uint64_t, uint8_t> global;
-    util::FlatMap<uint64_t, uint8_t> local;
+    TouchedBlockCounter counter(blockShift);
     for (const auto &t : threads_) {
-        local.clear();
-        local.reserve(t.memRefCount() < 4096 ? t.memRefCount() : 4096);
-        for (const TraceEvent &e : t.events()) {
-            EventKind kind = e.kind();
-            if (kind != EventKind::Load && kind != EventKind::Store)
-                continue;
-            uint64_t block = e.address() >> blockShift;
-            local.tryEmplace(block);
-            global.tryEmplace(block);
-        }
-        census.perThread.push_back(local.size());
+        counter.count(t.events());
+        counter.endThread();
     }
-    census.total = global.size();
-    return memo->byShift.emplace(blockShift, std::move(census))
+    return memo->byShift.emplace(blockShift, counter.take())
         .first->second;
 }
 

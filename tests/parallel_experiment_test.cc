@@ -21,6 +21,7 @@
 #include "experiment/lab.h"
 #include "experiment/parallel.h"
 #include "experiment/studies.h"
+#include "obs/metric_defs.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "util/error.h"
@@ -333,6 +334,58 @@ TEST(Determinism, HierarchyNormalizesPerMemorySystem)
         }
     }
     EXPECT_EQ(seen.size(), allMemSystems().size());
+}
+
+TEST(Determinism, BatchedHierarchyStudyMatchesUnbatched)
+{
+    // The lockstep path: cells of one app run as lanes of one
+    // sim::BatchMachine over the app's shared TraceSet. Four cells
+    // per (memory system, point) against three lanes per batch, so
+    // the lanes of a batch differ in configuration, not only in
+    // placement.
+    const std::vector<Algorithm> algs = {
+        Algorithm::Random, Algorithm::LoadBal, Algorithm::ShareRefs,
+        Algorithm::MinInvs};
+    Lab serialLab(kScale);
+    auto serial = hierarchyStudy(serialLab, AppId::Water, algs,
+                                 {.jobs = 1, .batch = 1});
+
+    obs::setMetricsEnabled(true);
+    obs::Registry::instance().resetValues();
+    Lab batchedLab(kScale);
+    auto batched = hierarchyStudy(batchedLab, AppId::Water, algs,
+                                  {.jobs = 2, .batch = 3});
+    const int64_t widestBatch = obs::batchLanes().max();
+    obs::setMetricsEnabled(false);
+    EXPECT_EQ(widestBatch, 3) << "the sweep must run batched";
+    ASSERT_EQ(batched.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i)
+        expectSameCell(batched[i], serial[i]);
+
+    // A fault in one algorithm's cells fails those lanes alone.
+    Lab faultLab(kScale);
+    std::vector<JobFailure> failures;
+    SweepOptions options{.jobs = 2, .batch = 3};
+    options.failures = &failures;
+    options.faultInjector = [](const RunJob &job) {
+        if (job.alg == Algorithm::ShareRefs)
+            util::fatal("injected lane failure");
+    };
+    auto faulted = hierarchyStudy(faultLab, AppId::Water, algs, options);
+    ASSERT_EQ(faulted.size(), serial.size());
+    size_t failedCells = 0;
+    for (size_t i = 0; i < faulted.size(); ++i) {
+        if (faulted[i].alg != Algorithm::ShareRefs) {
+            expectSameCell(faulted[i], serial[i]);
+            continue;
+        }
+        ++failedCells;
+        EXPECT_TRUE(faulted[i].failed);
+        EXPECT_NE(faulted[i].error.find("injected"), std::string::npos)
+            << faulted[i].error;
+    }
+    EXPECT_GT(failedCells, 0u);
+    EXPECT_EQ(failures.size(), failedCells);
 }
 
 // --------------------------------------------------------- fault isolation

@@ -1,8 +1,7 @@
 /**
  * @file
  * Interconnect model tests: the paper's contention-free default, the
- * bounded-channel queueing behaviour, and end-to-end effects on the
- * machine.
+ * queued-link behaviour, and end-to-end effects on the machine.
  */
 
 #include <gtest/gtest.h>
@@ -22,72 +21,48 @@ using trace::AddressSpace;
 using trace::ThreadTrace;
 using trace::TraceSet;
 
+SimConfig
+linkConfig(uint32_t links, uint32_t occupancy)
+{
+    SimConfig cfg;
+    cfg.networkLinks = links;
+    cfg.linkOccupancy = occupancy;
+    return cfg;
+}
+
 TEST(Interconnect, ContentionFreeIsFlat)
 {
-    Interconnect net(0, 50, 4);
+    Interconnect net{SimConfig{}};
     for (uint64_t t : {0ull, 1ull, 1ull, 2ull})
-        EXPECT_EQ(net.transactionLatency(t), 50u);
+        EXPECT_EQ(net.queueDelay(t, 0), 0u);
     EXPECT_EQ(net.transactions(), 4u);
     EXPECT_EQ(net.queueingCycles(), 0u);
     EXPECT_EQ(net.maxQueueing(), 0u);
 }
 
-TEST(Interconnect, SingleChannelSerializes)
+TEST(Interconnect, SingleLinkSerializes)
 {
-    Interconnect net(1, 50, 10);
-    EXPECT_EQ(net.transactionLatency(100), 50u);  // channel free
-    // Issued while the channel is busy until 110: waits 10 - 0 = ...
-    EXPECT_EQ(net.transactionLatency(100), 10u + 50u);
-    EXPECT_EQ(net.transactionLatency(100), 20u + 50u);
+    // One link carries every block, so distinct blocks queue too.
+    Interconnect net(linkConfig(1, 10));
+    EXPECT_EQ(net.queueDelay(100, 0), 0u);  // link free
+    // Issued while the link is busy until 110, then until 120.
+    EXPECT_EQ(net.queueDelay(100, 1), 10u);
+    EXPECT_EQ(net.queueDelay(100, 2), 20u);
     EXPECT_EQ(net.queueingCycles(), 30u);
     EXPECT_EQ(net.maxQueueing(), 20u);
 }
 
-TEST(Interconnect, ChannelFreesOverTime)
+TEST(Interconnect, LinkFreesOverTime)
 {
-    Interconnect net(1, 50, 10);
-    net.transactionLatency(0);               // busy until 10
-    EXPECT_EQ(net.transactionLatency(10), 50u);  // exactly free again
-    EXPECT_EQ(net.transactionLatency(30), 50u);  // long idle
+    Interconnect net(linkConfig(1, 10));
+    net.queueDelay(0, 0);                    // busy until 10
+    EXPECT_EQ(net.queueDelay(10, 0), 0u);    // exactly free again
+    EXPECT_EQ(net.queueDelay(30, 0), 0u);    // long idle
 }
 
-TEST(Interconnect, MultipleChannelsOverlap)
+TEST(Interconnect, ImplausibleLinkCountIsFatal)
 {
-    Interconnect net(2, 50, 10);
-    EXPECT_EQ(net.transactionLatency(0), 50u);
-    EXPECT_EQ(net.transactionLatency(0), 50u);  // second channel
-    EXPECT_EQ(net.transactionLatency(0), 60u);  // queues behind first
-}
-
-TEST(Interconnect, ImplausibleChannelCountIsFatal)
-{
-    EXPECT_THROW(Interconnect(5000, 50, 4), util::FatalError);
-}
-
-TEST(Interconnect, MachineReportsQueueingStats)
-{
-    // Two processors miss on distinct blocks at the same cycle; one
-    // channel serializes them.
-    TraceSet ts("contend");
-    for (uint32_t tid = 0; tid < 2; ++tid) {
-        ThreadTrace t(tid);
-        t.appendLoad(AddressSpace::sharedWord(64 * tid));
-        ts.addThread(std::move(t));
-    }
-    SimConfig cfg;
-    cfg.processors = 2;
-    cfg.contexts = 1;
-    cfg.cacheBytes = 4096;
-    cfg.networkChannels = 1;
-    cfg.channelOccupancy = 8;
-
-    SimStats s = simulate(cfg, ts, PlacementMap(2, {0, 1}));
-    EXPECT_EQ(s.networkTransactions, 2u);
-    EXPECT_EQ(s.networkQueueingCycles, 8u);
-    EXPECT_EQ(s.networkMaxQueueing, 8u);
-    // One processor finishes 8 cycles later than the other.
-    uint64_t f0 = s.procs[0].finishTime, f1 = s.procs[1].finishTime;
-    EXPECT_EQ(std::max(f0, f1) - std::min(f0, f1), 8u);
+    EXPECT_THROW(Interconnect(linkConfig(5000, 6)), util::FatalError);
 }
 
 TEST(Interconnect, ContentionNeverSpeedsExecution)
@@ -107,8 +82,8 @@ TEST(Interconnect, ContentionNeverSpeedsExecution)
     free.contexts = 1;
     free.cacheBytes = 64 * 1024;
     SimConfig tight = free;
-    tight.networkChannels = 1;
-    tight.channelOccupancy = 16;
+    tight.networkLinks = 1;
+    tight.linkOccupancy = 16;
 
     uint64_t freeTime = simulate(free, ts, map).executionTime();
     auto tightStats = simulate(tight, ts, map);
@@ -118,10 +93,7 @@ TEST(Interconnect, ContentionNeverSpeedsExecution)
 
 TEST(Interconnect, QueuedLinksInterleaveByBlockAddress)
 {
-    SimConfig cfg;
-    cfg.networkLinks = 2;
-    cfg.linkOccupancy = 10;
-    Interconnect net(cfg);
+    Interconnect net(linkConfig(2, 10));
 
     EXPECT_EQ(net.queueDelay(0, 0), 0u);   // link 0, busy until 10
     EXPECT_EQ(net.queueDelay(0, 1), 0u);   // link 1, busy until 10
@@ -137,43 +109,16 @@ TEST(Interconnect, HotBlockContendsWithItselfOnItsLink)
 {
     // Three back-to-back transactions on the same block serialize on
     // one link even though the other link stays idle.
-    SimConfig cfg;
-    cfg.networkLinks = 2;
-    cfg.linkOccupancy = 6;
-    Interconnect net(cfg);
+    Interconnect net(linkConfig(2, 6));
     EXPECT_EQ(net.queueDelay(0, 8), 0u);
     EXPECT_EQ(net.queueDelay(0, 8), 6u);
     EXPECT_EQ(net.queueDelay(0, 8), 12u);
 }
 
-TEST(Interconnect, ConfigCtorReproducesChannelsAndFreeModes)
-{
-    SimConfig free;
-    Interconnect netFree(free);
-    EXPECT_EQ(netFree.queueDelay(0, 0), 0u);
-    EXPECT_EQ(netFree.queueDelay(0, 0), 0u);
-
-    SimConfig chans;
-    chans.networkChannels = 1;
-    chans.channelOccupancy = 8;
-    chans.memoryLatency = 50;
-    Interconnect netChans(chans);
-    EXPECT_EQ(netChans.transactionLatency(0), 50u);
-    EXPECT_EQ(netChans.transactionLatency(0), 8u + 50u);
-}
-
-TEST(Interconnect, LinksAndChannelsAreMutuallyExclusive)
-{
-    SimConfig cfg;
-    cfg.networkLinks = 2;
-    cfg.networkChannels = 2;
-    EXPECT_THROW(cfg.validate(), util::FatalError);
-}
-
 TEST(Interconnect, MachineSerializesMissesOnOneLink)
 {
     // Two processors miss on distinct blocks at the same cycle; one
-    // queued link serializes them, same shape as the channel test.
+    // queued link serializes them.
     TraceSet ts("linkcontend");
     for (uint32_t tid = 0; tid < 2; ++tid) {
         ThreadTrace t(tid);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/placement_map.h"
+#include "experiment/configs.h"
 #include "sim/machine.h"
 #include "sim/sharer_set.h"
 #include "trace/chunk_source.h"
@@ -88,33 +89,45 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
     }
     EXPECT_EQ(a.executionTime(), b.executionTime());
     EXPECT_EQ(a.sharingCompulsoryMisses, b.sharingCompulsoryMisses);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
+    EXPECT_EQ(a.l2BackInvalidations, b.l2BackInvalidations);
+    EXPECT_EQ(a.networkTransactions, b.networkTransactions);
+    EXPECT_EQ(a.networkQueueingCycles, b.networkQueueingCycles);
+    EXPECT_EQ(a.networkMaxQueueing, b.networkMaxQueueing);
 }
 
 // 160 processors crosses the SharerSet inline/spill boundary mid-run:
-// the materialized and streaming paths must agree bit-for-bit, and the
+// the materialized and streaming paths must agree bit-for-bit under
+// every memory system (shared L2, MOESI, queued links), and the
 // sharing monitor must profile toucher ids above 128 correctly.
 TEST(SimScale, SpillParityStreamingVsMaterialized)
 {
     const uint32_t threads = 160;
     workload::AppProfile p = scaleProfile(threads, 6'000);
-    SimConfig cfg = scaleConfig(threads);
-    cfg.profileSharing = true;
     PlacementMap place = identity(threads);
-
     trace::TraceSet traces = workload::generateTraces(p, /*scale=*/1);
-    SimStats eager = simulate(cfg, traces, place);
 
-    workload::AppStreamFactory factory(p, /*scale=*/1);
-    SimStats streamed = simulateStreaming(cfg, factory, place);
+    for (experiment::MemSystem ms : experiment::allMemSystems()) {
+        SCOPED_TRACE(experiment::memSystemName(ms));
+        SimConfig cfg = scaleConfig(threads);
+        experiment::applyMemSystem(cfg, ms);
+        cfg.profileSharing = true;
 
-    expectIdenticalStats(eager, streamed);
-    EXPECT_GT(eager.totalMemRefs(), 0u);
-    ASSERT_TRUE(eager.profiledSharing);
-    EXPECT_GT(eager.sharingProfile.sharedBlocks, 0u);
-    EXPECT_EQ(eager.sharingProfile.sharedBlocks,
-              streamed.sharingProfile.sharedBlocks);
-    EXPECT_EQ(eager.sharingProfile.migratoryShared,
-              streamed.sharingProfile.migratoryShared);
+        SimStats eager = simulate(cfg, traces, place);
+        workload::AppStreamFactory factory(p, /*scale=*/1);
+        SimStats streamed = simulateStreaming(cfg, factory, place);
+
+        expectIdenticalStats(eager, streamed);
+        EXPECT_GT(eager.totalMemRefs(), 0u);
+        ASSERT_TRUE(eager.profiledSharing);
+        EXPECT_GT(eager.sharingProfile.sharedBlocks, 0u);
+        EXPECT_EQ(eager.sharingProfile.sharedBlocks,
+                  streamed.sharingProfile.sharedBlocks);
+        EXPECT_EQ(eager.sharingProfile.migratoryShared,
+                  streamed.sharingProfile.migratoryShared);
+    }
 }
 
 // The full 1024-processor machine: the run completes, and the

@@ -184,7 +184,7 @@ TEST(TraceChunk, StreamedChunksMatchMaterializedPerThread)
     ASSERT_EQ(lane.threadCount(), set.threadCount());
     for (ThreadId tid = 0; tid < lane.threadCount(); ++tid) {
         SCOPED_TRACE("tid " + std::to_string(tid));
-        expectSameChunks(TraceCursor(lane.openThread(tid)),
+        expectSameChunks(lane.openThread(tid),
                          TraceCursor(set.thread(tid)));
     }
     EXPECT_GT(stream.refillCount(), 0u);
@@ -201,7 +201,7 @@ TEST(TraceChunk, SingleEventChunksStillMatch)
     SharedTraceStream stream(factory, 1, /*chunkEvents=*/1);
     for (ThreadId tid = 0; tid < set.threadCount(); ++tid) {
         SCOPED_TRACE("tid " + std::to_string(tid));
-        expectSameChunks(TraceCursor(stream.lane(0).openThread(tid)),
+        expectSameChunks(stream.lane(0).openThread(tid),
                          TraceCursor(set.thread(tid)));
     }
 }
@@ -235,7 +235,7 @@ TEST(TraceChunk, RetiringTheLaggardReleasesTheWindow)
 
     // Lane 0 drains thread 0 completely while lane 1 never moves:
     // every chunk of thread 0 stays resident, pinned by the laggard.
-    ChunkFeed &feed = stream.lane(0).openThread(0);
+    ChunkFeed &feed = stream.feed(0, 0);
     const TraceEvent *begin = nullptr;
     const TraceEvent *end = nullptr;
     uint64_t events = 0;

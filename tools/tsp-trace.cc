@@ -75,7 +75,7 @@ cmdGen(int argc, char **argv)
     auto traces = workload::generateTraces(workload::profile(app),
                                            scale);
     trace::saveFile(traces, path);
-    std::printf("wrote %s: %zu threads, %s instructions, %s data "
+    std::printf("wrote %s: %u threads, %s instructions, %s data "
                 "refs, scale 1/%u\n",
                 path.c_str(), traces.threadCount(),
                 util::fmtCompact(static_cast<double>(
@@ -93,7 +93,7 @@ cmdInfo(int argc, char **argv)
         return usage();
     auto traces = trace::loadFile(argv[2]);
     std::printf("application: %s\n", traces.name().c_str());
-    std::printf("threads:     %zu\n", traces.threadCount());
+    std::printf("threads:     %u\n", traces.threadCount());
     std::printf("instructions:%s\n",
                 util::fmtThousands(static_cast<int64_t>(
                     traces.totalInstructions())).c_str());
