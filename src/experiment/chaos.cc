@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "experiment/checkpoint.h"
@@ -13,24 +12,13 @@
 #include "trace/chunk_source.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "workload/stream.h"
 
 namespace tsp::experiment::chaos {
 
 namespace {
-
-/** Exact bit pattern of a double, so fingerprints detect any drift. */
-std::string
-hexBits(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
-}
 
 /** The job set every scenario runs: two algorithms x two points. */
 std::vector<RunJob>
@@ -66,7 +54,7 @@ fingerprint(const std::vector<RunJob> &jobs,
         }
         const RunResult &r = outcomes[i].value();
         os << "t=" << r.executionTime
-           << " imb=" << hexBits(r.loadImbalance) << " assign=";
+           << " imb=" << util::hexBits(r.loadImbalance) << " assign=";
         for (uint32_t proc : r.placement.assignment())
             os << proc << ',';
         const sim::SimStats &s = r.stats;

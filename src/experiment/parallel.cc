@@ -85,22 +85,39 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     stats_.total = jobs.size();
 
     // Deduplicate: unique jobs simulate once, duplicates copy.
+    // nextCopy chains each input to the next input of the same job.
     std::vector<size_t> uniqueOf(jobs.size());
-    std::vector<size_t> uniqueJobs;
+    std::vector<size_t> nextCopy(jobs.size(), jobs.size());
+    std::vector<size_t> uniqueJobs, lastCopy;
     std::map<std::tuple<int, int, uint32_t, uint32_t, bool, int>,
              size_t>
         firstSeen;
     for (size_t i = 0; i < jobs.size(); ++i) {
         auto [it, inserted] =
             firstSeen.try_emplace(jobKey(jobs[i]), uniqueJobs.size());
-        if (inserted)
+        if (inserted) {
             uniqueJobs.push_back(i);
+            lastCopy.push_back(i);
+        } else {
+            nextCopy[lastCopy[it->second]] = i;
+            lastCopy[it->second] = i;
+        }
         uniqueOf[i] = it->second;
     }
     stats_.unique = uniqueJobs.size();
 
     std::vector<Outcome<RunResult>> unique(uniqueJobs.size());
-    std::vector<double> uniqueMillis(uniqueJobs.size(), 0.0);
+
+    // Hand a settled cell to onCell under every input index it
+    // answers, one call at a time.
+    std::mutex onCellMutex;
+    auto settle = [&](size_t u, double wallMs) {
+        if (!options_.onCell)
+            return;
+        std::lock_guard<std::mutex> lock(onCellMutex);
+        for (size_t i = uniqueJobs[u]; i < jobs.size(); i = nextCopy[i])
+            options_.onCell(i, unique[u], wallMs);
+    };
 
     // Replay journaled cells; only the rest hit the pool.
     std::vector<size_t> pending;
@@ -112,6 +129,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
                 unique[u] =
                     Outcome<RunResult>::success(std::move(*hit));
                 ++stats_.fromCheckpoint;
+                settle(u, 0.0);
                 continue;
             }
         }
@@ -198,9 +216,9 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     // result, and a resume with the same checkpoint re-runs exactly
     // these cells.
     auto cancelCell = [&](size_t u) {
-        unique[u] = Outcome<RunResult>::failure(
-            "sweep cancelled before this cell started");
+        unique[u] = Outcome<RunResult>::failure(options_.cancel->reason());
         cancelledCells.fetch_add(1, std::memory_order_relaxed);
+        settle(u, 0.0);
     };
 
     auto runSingle = [&](size_t u) {
@@ -213,22 +231,24 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         if (watchdog)
             guard.emplace(watchdog->watch(describeJob(job)));
         obs::StopWatch cellWatch;
+        double cellMs = 0.0;
         try {
             if (options_.faultInjector)
                 options_.faultInjector(job);
             RunResult result = lab_.run(job.app, job.alg, job.point,
                                         job.infiniteCache,
                                         job.memSystem);
-            double cellMs = cellWatch.elapsedMs();
-            uniqueMillis[u] = cellMs;
+            cellMs = cellWatch.elapsedMs();
             sinkCell(job, cellMs);
             journal(job, result);
             unique[u] = Outcome<RunResult>::success(std::move(result));
         } catch (const util::PanicError &) {
             notePanic();
+            return;
         } catch (const std::exception &e) {
             unique[u] = Outcome<RunResult>::failure(e.what());
         }
+        settle(u, unique[u].ok() ? cellMs : 0.0);
     };
 
     auto runBatch = [&](const std::vector<size_t> &group) {
@@ -270,6 +290,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
                 return;
             } catch (const std::exception &e) {
                 unique[u] = Outcome<RunResult>::failure(e.what());
+                settle(u, 0.0);
             }
         }
         if (preps.empty())
@@ -283,6 +304,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         }
         obs::StopWatch batchWatch;
         size_t assigned = 0;
+        double perLane = 0.0;
         try {
             const trace::TraceSet &traces = lab_.traces(first.app);
             const analysis::StaticAnalysis &an =
@@ -295,8 +317,8 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             std::vector<sim::LaneResult> results = machine.run();
             // The lanes ran interleaved on one thread; each cell's
             // attributed cost is its share of the batch wall time.
-            double perLane = batchWatch.elapsedMs() /
-                             static_cast<double>(results.size());
+            perLane = batchWatch.elapsedMs() /
+                      static_cast<double>(results.size());
             for (; assigned < preps.size(); ++assigned) {
                 Prep &prep = preps[assigned];
                 const RunJob &job = jobs[uniqueJobs[prep.u]];
@@ -312,7 +334,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
                 result.executionTime = result.stats.executionTime();
                 result.loadImbalance =
                     result.placement.loadImbalance(an.threadLength());
-                uniqueMillis[prep.u] = perLane;
                 sinkCell(job, perLane);
                 journal(job, result);
                 unique[prep.u] =
@@ -320,6 +341,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             }
         } catch (const util::PanicError &) {
             notePanic();
+            return;
         } catch (const std::exception &e) {
             // Batch-level failure (trace materialization or a
             // poisoned batch): every lane without a result yet
@@ -329,6 +351,8 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
                     Outcome<RunResult>::failure(e.what());
             }
         }
+        for (const Prep &prep : preps)
+            settle(prep.u, unique[prep.u].ok() ? perLane : 0.0);
     };
 
     util::ThreadPool pool(
@@ -360,11 +384,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     std::vector<Outcome<RunResult>> out(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i)
         out[i] = unique[uniqueOf[i]];
-    if (options_.cellMillisOut) {
-        options_.cellMillisOut->assign(jobs.size(), 0.0);
-        for (size_t i = 0; i < jobs.size(); ++i)
-            (*options_.cellMillisOut)[i] = uniqueMillis[uniqueOf[i]];
-    }
     if (options_.statsOut)
         *options_.statsOut = stats_;
     return out;

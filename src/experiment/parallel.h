@@ -25,7 +25,7 @@
  *  - cancellation — with a CancelToken attached, a tripped token stops
  *    new cells from starting; finished cells stay journaled and the
  *    skipped cells report failed Outcomes, keeping the sweep
- *    resumable after SIGINT/SIGTERM or a watchdog escalation.
+ *    resumable after SIGINT/SIGTERM or a deadline.
  */
 
 #ifndef TSP_EXPERIMENT_PARALLEL_H
@@ -120,14 +120,6 @@ struct SweepOptions
     /** Filled with the sweep's counters when non-null. */
     SweepStats *statsOut = nullptr;
 
-    /**
-     * Filled with each job's simulation wall time in milliseconds, in
-     * input order, when non-null. Cells replayed from the checkpoint
-     * (and failed cells) report 0.0; duplicate jobs copy the executed
-     * cell's time. Purely observational — never feeds results.
-     */
-    std::vector<double> *cellMillisOut = nullptr;
-
     /** Flag jobs running longer than this; zero disables. */
     std::chrono::milliseconds jobDeadline{0};
 
@@ -137,9 +129,27 @@ struct SweepOptions
      * handler, the watchdog, another thread), cells not yet started
      * become failed Outcomes ("sweep cancelled...") while in-flight
      * cells run to completion and are journaled normally — so a
-     * cancelled sweep is always cleanly resumable.
+     * cancelled sweep is always cleanly resumable. A skipped cell's
+     * error is the token's reason().
      */
     const util::CancelToken *cancel = nullptr;
+
+    /**
+     * Per-cell hook: called once per input job, with its input index,
+     * when its outcome settles — replayed from the checkpoint,
+     * simulated (alone or as a batch lane), failed or cancelled. A
+     * duplicate job gets its first occurrence's outcome and time, in
+     * the same settlement. @p wallMs is the cell's simulation wall
+     * time; replayed, failed and cancelled cells report 0.0. Calls
+     * never overlap but may come from any pool thread, in settlement
+     * order rather than input order; a PanicError leaves the
+     * remaining cells unsettled. Must not throw. It cannot change a
+     * result, but tripping `cancel` from it skips every cell not yet
+     * started (the daemon's between-cell deadline check).
+     */
+    std::function<void(size_t index, const Outcome<RunResult> &outcome,
+                       double wallMs)>
+        onCell = {};
 
     /**
      * Chaos/test hook invoked before each unique job executes; throw

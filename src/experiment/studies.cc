@@ -16,14 +16,20 @@ namespace {
  * policy: in strict mode (no failures sink) rethrow the first
  * (input-order) failure; in degraded mode append every failed job to
  * the sink and let the caller mark cells. @p cellMillis receives each
- * job's wall time (copied to the caller's cellMillisOut too).
+ * job's wall time; the caller's onCell still sees every cell.
  */
 std::vector<Outcome<RunResult>>
 runFanout(Lab &lab, const std::vector<RunJob> &fanout,
           const SweepOptions &options, std::vector<double> &cellMillis)
 {
+    cellMillis.assign(fanout.size(), 0.0);
     SweepOptions runOptions = options;
-    runOptions.cellMillisOut = &cellMillis;
+    runOptions.onCell = [&](size_t i, const Outcome<RunResult> &outcome,
+                            double wallMs) {
+        cellMillis[i] = wallMs;
+        if (options.onCell)
+            options.onCell(i, outcome, wallMs);
+    };
     auto outcomes =
         ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
     for (size_t i = 0; i < fanout.size(); ++i) {
@@ -35,8 +41,6 @@ runFanout(Lab &lab, const std::vector<RunJob> &fanout,
         }
         options.failures->push_back({fanout[i], outcomes[i].error()});
     }
-    if (options.cellMillisOut)
-        *options.cellMillisOut = cellMillis;
     return outcomes;
 }
 

@@ -1,7 +1,6 @@
 #include "svc/chaos_leg.h"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "experiment/configs.h"
@@ -13,7 +12,6 @@ namespace tsp::svc {
 
 using experiment::MachinePoint;
 using experiment::RunJob;
-using experiment::RunResult;
 
 namespace {
 
@@ -21,18 +19,6 @@ std::string
 storePath(const std::string &workDir)
 {
     return workDir + "/chaos_store.tsps";
-}
-
-/** Exact bit pattern of a double, matching the harness's digests. */
-std::string
-hexBits(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
 }
 
 /**
@@ -105,19 +91,8 @@ runLeg(workload::AppId app, uint32_t scale,
         }
         const StudyResponse &response = got.response;
         os << statusName(response.status);
-        for (size_t i = 0; i < response.outcomes.size(); ++i) {
-            const auto &outcome = response.outcomes[i];
-            os << ' ' << experiment::describeJob(jobs[i]) << "=>";
-            if (!outcome.ok()) {
-                os << "FAILED(" << outcome.error() << ')';
-                continue;
-            }
-            const RunResult &result = outcome.value();
-            os << "t=" << result.executionTime
-               << ",imb=" << hexBits(result.loadImbalance)
-               << ",refs=" << result.stats.totalMemRefs()
-               << ",miss=" << result.missSummary().totalMisses();
-        }
+        for (size_t i = 0; i < response.outcomes.size(); ++i)
+            os << ' ' << cellResultLine(jobs[i], response.outcomes[i]);
         os << '\n';
     }
     server.beginDrain();

@@ -4,8 +4,9 @@
 
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
-#include "obs/timer.h"
+#include "util/cancel.h"
 #include "util/error.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "util/watchdog.h"
 
@@ -16,6 +17,13 @@ using experiment::RunJob;
 using experiment::RunResult;
 
 namespace {
+
+/** Poll period of the per-request deadline watchdog. */
+constexpr std::chrono::milliseconds kWatchdogPoll{2};
+
+/** Why a request's tail cells were cancelled. */
+constexpr const char *kDeadlineReason =
+    "request deadline exceeded before this cell ran";
 
 double
 millisBetween(Daemon::Clock::time_point from,
@@ -299,11 +307,8 @@ Daemon::workerLoop()
 StudyResponse
 Daemon::execute(Pending &pending)
 {
-    StudyResponse response;
     Clock::time_point start = now();
-    response.queueMillis = millisBetween(pending.admitted, start);
-    size_t n = pending.request.jobs.size();
-    response.outcomes.assign(n, Outcome<RunResult>{});
+    const double queueMillis = millisBetween(pending.admitted, start);
 
     if (start >= pending.expiry) {
         // The deadline passed while the request sat in the queue:
@@ -314,18 +319,20 @@ Daemon::execute(Pending &pending)
             std::lock_guard<std::mutex> lock(mutex_);
             ++counters_.expired;
         }
+        StudyResponse response;
+        response.queueMillis = queueMillis;
         response.status = StudyStatus::Expired;
         response.error = "deadline expired while queued";
-        for (auto &outcome : response.outcomes) {
-            outcome = Outcome<RunResult>::failure(
-                "request expired in queue before any cell ran");
-        }
+        response.outcomes.assign(
+            pending.request.jobs.size(),
+            Outcome<RunResult>::failure(
+                "request expired in queue before any cell ran"));
         return response;
     }
 
     // Per-request deadline enforcement: a real-time watchdog trips
     // the token if a cell stalls past the remaining budget, and the
-    // inline clock checks between cells make the common case (the
+    // inline clock check after each cell makes the common case (the
     // budget runs out across many cells) deterministic.
     util::CancelToken cancel;
     std::optional<util::Watchdog> watchdog;
@@ -336,80 +343,69 @@ Daemon::execute(Pending &pending)
                 pending.expiry - start);
         watchdog.emplace(
             std::max(remaining, std::chrono::milliseconds(1)),
-            [](const std::string &, std::chrono::milliseconds) {},
-            config_.watchdogPoll);
-        watchdog->cancelOnOverdue(&cancel);
+            [&cancel](const std::string &, std::chrono::milliseconds) {
+                cancel.requestCancel(kDeadlineReason);
+            },
+            kWatchdogPoll);
         guard.emplace(watchdog->watch("study"));
     }
 
-    for (size_t i = 0; i < n; ++i) {
-        const RunJob &job = pending.request.jobs[i];
-        obs::StopWatch cellWatch;
-        if (now() >= pending.expiry)
-            cancel.requestCancel();
-        if (cancel.cancelled()) {
-            response.outcomes[i] = Outcome<RunResult>::failure(
-                "request deadline exceeded before this cell ran");
-            ++response.cancelledCells;
-        } else {
-            try {
-                if (store_) {
-                    if (std::optional<RunResult> cached =
-                            store_->lookup(job)) {
-                        response.outcomes[i] =
-                            Outcome<RunResult>::success(
-                                std::move(*cached));
-                        ++response.cacheHits;
-                    }
-                }
-                if (!response.outcomes[i].ok()) {
-                    RunResult result =
-                        lab_.run(job.app, job.alg, job.point,
-                                 job.infiniteCache, job.memSystem);
-                    ++response.executed;
-                    if (store_) {
-                        try {
-                            store_->record(job, result);
-                        } catch (const std::exception &e) {
-                            // The computed result is still good; it
-                            // stays resident in the store and the
-                            // next successful record appends it.
-                            util::warn(util::concat(
-                                "result store append failed "
-                                "(result kept): ",
-                                e.what()));
-                        }
-                    }
-                    response.outcomes[i] =
-                        Outcome<RunResult>::success(
-                            std::move(result));
-                }
-            } catch (const std::exception &e) {
-                // Fault isolation, same policy as the sweep engine:
-                // one failed cell degrades, the rest of the study
-                // proceeds.
-                response.outcomes[i] =
-                    Outcome<RunResult>::failure(e.what());
-            }
-        }
-
-        // Running heartbeat after every cell disposition (run, hit,
-        // failure or cancellation), piggybacking the cell's wall
-        // time so remote clients see per-cell pacing.
-        StudyProgress running;
-        running.stage = StudyProgress::Stage::Running;
-        running.cellsDone = static_cast<uint32_t>(i + 1);
-        running.totalCells = static_cast<uint32_t>(n);
-        running.lastCellMillis = cellWatch.elapsedMs();
-        notify(pending.request.onProgress, running);
-    }
-
-    guard.reset();
-    watchdog.reset();
-    response.status = response.cancelledCells > 0
-                          ? StudyStatus::DeadlineExceeded
-                          : StudyStatus::Completed;
+    // Running heartbeat after every cell disposition (run, hit,
+    // failure or cancellation), piggybacking the cell's wall time so
+    // remote clients see per-cell pacing.
+    StudyProgress running;
+    running.stage = StudyProgress::Stage::Running;
+    running.totalCells =
+        static_cast<uint32_t>(pending.request.jobs.size());
+    StudyResponse response = runStudy(
+        lab_, pending.request.jobs,
+        {.checkpoint = store_.get(),
+         .cancel = &cancel,
+         .onCell = [&](size_t, const Outcome<RunResult> &,
+                       double wallMs) {
+             if (now() >= pending.expiry)
+                 cancel.requestCancel(kDeadlineReason);
+             ++running.cellsDone;
+             running.lastCellMillis = wallMs;
+             notify(pending.request.onProgress, running);
+         }});
+    response.queueMillis = queueMillis;
     return response;
+}
+
+StudyResponse
+runStudy(experiment::Lab &lab, const std::vector<RunJob> &jobs,
+         experiment::SweepOptions options)
+{
+    // One cell at a time and no lockstep lanes: the daemon's deadline
+    // check runs between cells, and Config::workers stays the
+    // service's one concurrency knob.
+    experiment::SweepStats stats;
+    options.jobs = 1;
+    options.batch = 1;
+    options.statsOut = &stats;
+    StudyResponse response;
+    response.outcomes =
+        experiment::ParallelRunner(lab, options).runAllOutcomes(jobs);
+    response.cacheHits = stats.fromCheckpoint;
+    response.executed = stats.executed - stats.failed;
+    response.cancelledCells = stats.cancelled;
+    response.status = stats.cancelled > 0 ? StudyStatus::DeadlineExceeded
+                                          : StudyStatus::Completed;
+    return response;
+}
+
+std::string
+cellResultLine(const RunJob &job, const Outcome<RunResult> &outcome)
+{
+    std::string line = experiment::describeJob(job) + " => ";
+    if (!outcome.ok())
+        return line + "FAILED(" + outcome.error() + ")";
+    const RunResult &result = outcome.value();
+    return util::concat(line, "t=", result.executionTime,
+                        " imb=", util::hexBits(result.loadImbalance),
+                        " refs=", result.stats.totalMemRefs(),
+                        " miss=", result.missSummary().totalMisses());
 }
 
 } // namespace tsp::svc

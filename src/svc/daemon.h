@@ -1,8 +1,12 @@
 /**
  * @file
  * The resident experiment daemon: a bounded priority job queue in
- * front of the Lab/simulation engine, with admission control,
- * per-request deadlines and graceful drain.
+ * front of the sweep engine, with admission control, per-request
+ * deadlines and graceful drain. The daemon is an adapter: each
+ * request's cells run through experiment::ParallelRunner (runStudy),
+ * which deduplicates them, replays and journals the result store,
+ * isolates each cell's faults and reports them in the `sweep.*`
+ * metrics, exactly as for a sweep.
  *
  * Service guarantees:
  *  - *admission control / load shedding* — submit() either admits a
@@ -13,12 +17,13 @@
  *    admission. Expired while still queued, it is answered Expired
  *    without running anything; overdue mid-run, a per-request
  *    Watchdog trips the request's CancelToken (with deterministic
- *    inline clock checks between cells), the in-flight cell finishes,
- *    and the remaining cells are answered as cancelled;
+ *    inline clock checks after each cell), the in-flight cell
+ *    finishes, and the remaining cells are answered as cancelled;
  *  - *resilience* — any exception a request raises (including
- *    injected faults at the `svc.dequeue` site) is caught at the
- *    request boundary and reported as a Failed response; the daemon
- *    itself never dies serving a request;
+ *    injected faults at the `svc.dequeue` site and a PanicError from
+ *    a cell) is caught at the request boundary and reported as a
+ *    Failed response; the daemon itself never dies serving a
+ *    request;
  *  - *graceful drain* — beginDrain() stops admission while queued and
  *    in-flight requests finish normally; drain() additionally blocks
  *    until the service is idle and joins the workers (the SIGTERM
@@ -100,8 +105,9 @@ struct StudyRequest
 
     /**
      * Progress hook, invoked on daemon threads: once with Queued at
-     * admission, after every cell disposition with Running, and with
-     * Done just before the response future is fulfilled. Exceptions
+     * admission, after every cell disposition with Running (in
+     * disposition order: store hits settle before any cell runs), and
+     * with Done just before the response future is fulfilled. Exceptions
      * it throws are swallowed — a broken observer cannot fail the
      * study. Empty = no streaming.
      */
@@ -127,6 +133,8 @@ struct StudyResponse
     /** Per-job outcomes, in input order (jobs.size() entries). */
     std::vector<experiment::Outcome<experiment::RunResult>> outcomes;
 
+    // Cell counts are of distinct cells: a job repeated within the
+    // study counts once.
     size_t cacheHits = 0;        //!< cells served from the store
     size_t executed = 0;         //!< cells simulated fresh
     size_t cancelledCells = 0;   //!< cells cancelled by the deadline
@@ -134,6 +142,28 @@ struct StudyResponse
     double queueMillis = 0.0;    //!< admission -> dequeue (or expiry)
     double totalMillis = 0.0;    //!< admission -> answer
 };
+
+/**
+ * Answer @p jobs through experiment::ParallelRunner, the one cell
+ * executor, serially (one cell at a time, no lockstep lanes) with
+ * @p options' store, cancellation token and per-cell hook. The
+ * counts come from the runner's SweepStats; the status is
+ * DeadlineExceeded when the token skipped cells, else Completed. The
+ * daemon and both local fallbacks (loadgen, tsp-client) answer
+ * through here.
+ */
+StudyResponse runStudy(experiment::Lab &lab,
+                       const std::vector<experiment::RunJob> &jobs,
+                       experiment::SweepOptions options = {});
+
+/**
+ * One cell's answer as text, the unit of the loadgen and tsp-client
+ * result digests: "<job> => t=<cycles> imb=<hex bits> refs=<n>
+ * miss=<n>", or "<job> => FAILED(<error>)".
+ */
+std::string cellResultLine(
+    const experiment::RunJob &job,
+    const experiment::Outcome<experiment::RunResult> &outcome);
 
 /** submit()'s answer: an admitted future or a rejection reason. */
 struct SubmitResult
@@ -175,9 +205,6 @@ class Daemon
          * file works too); empty = in-memory memoization only.
          */
         std::string storePath;
-
-        /** Poll period of the per-request deadline watchdog. */
-        std::chrono::milliseconds watchdogPoll{2};
 
         /**
          * Start with the workers paused: requests are admitted and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -16,7 +15,6 @@
 namespace tsp::svc {
 
 using experiment::RunJob;
-using experiment::RunResult;
 
 namespace {
 
@@ -28,18 +26,6 @@ nextRandom(uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-/** Exact bit pattern of a double, for drift-proof digests. */
-std::string
-hexBits(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
 }
 
 /** Sorted-latency percentile (nearest-rank). */
@@ -61,58 +47,6 @@ struct ClientTally
     std::vector<double> latencies;
     std::string digestLines;
 };
-
-/**
- * Graceful degradation: run the request's cells on the local Lab
- * (consulting and feeding the store when one is attached). The
- * simulation is deterministic, so the answer — and therefore the
- * loadgen digest — is bit-identical to what the server would have
- * returned.
- */
-StudyResponse
-runLocally(Daemon &daemon, const StudyRequest &request)
-{
-    StudyResponse response;
-    response.outcomes.assign(request.jobs.size(),
-                             experiment::Outcome<RunResult>{});
-    for (size_t i = 0; i < request.jobs.size(); ++i) {
-        const RunJob &job = request.jobs[i];
-        try {
-            if (experiment::Checkpoint *store = daemon.store()) {
-                if (std::optional<RunResult> cached =
-                        store->lookup(job)) {
-                    response.outcomes[i] =
-                        experiment::Outcome<RunResult>::success(
-                            std::move(*cached));
-                    ++response.cacheHits;
-                    continue;
-                }
-            }
-            RunResult result =
-                daemon.lab().run(job.app, job.alg, job.point,
-                                 job.infiniteCache, job.memSystem);
-            ++response.executed;
-            if (experiment::Checkpoint *store = daemon.store()) {
-                try {
-                    store->record(job, result);
-                } catch (const std::exception &e) {
-                    util::warn(util::concat(
-                        "local-fallback store append failed (result "
-                        "kept): ",
-                        e.what()));
-                }
-            }
-            response.outcomes[i] =
-                experiment::Outcome<RunResult>::success(
-                    std::move(result));
-        } catch (const std::exception &e) {
-            response.outcomes[i] =
-                experiment::Outcome<RunResult>::failure(e.what());
-        }
-    }
-    response.status = StudyStatus::Completed;
-    return response;
-}
 
 } // namespace
 
@@ -244,10 +178,12 @@ runLoadGen(Daemon &daemon, const LoadGenOptions &options)
                         break;
                     }
                     if (!got.alive()) {
-                        if (options.localFallback) {
-                            answer = runLocally(daemon, request);
-                            ++tally.counts.degradedLocal;
-                        }
+                        // Graceful degradation: the same cells on
+                        // the local Lab and store. The simulation is
+                        // deterministic, so the digest is unchanged.
+                        answer = runStudy(daemon.lab(), request.jobs,
+                                          {.checkpoint = daemon.store()});
+                        ++tally.counts.degradedLocal;
                         break;
                     }
                     ++tally.counts.shed;
@@ -296,19 +232,9 @@ runLoadGen(Daemon &daemon, const LoadGenOptions &options)
             line << 'c' << client << 'r' << r << ' '
                  << statusName(response.status);
             for (size_t i = 0; i < response.outcomes.size(); ++i) {
-                const auto &outcome = response.outcomes[i];
                 line << ' '
-                     << experiment::describeJob(request.jobs[i])
-                     << " => ";
-                if (!outcome.ok()) {
-                    line << "FAILED(" << outcome.error() << ')';
-                    continue;
-                }
-                const RunResult &result = outcome.value();
-                line << "t=" << result.executionTime
-                     << " imb=" << hexBits(result.loadImbalance)
-                     << " refs=" << result.stats.totalMemRefs()
-                     << " miss=" << result.missSummary().totalMisses();
+                     << cellResultLine(request.jobs[i],
+                                       response.outcomes[i]);
             }
             line << '\n';
             tally.digestLines += line.str();

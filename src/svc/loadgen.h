@@ -74,15 +74,12 @@ struct LoadGenOptions
     /** Per-frame silence budget of socket-mode clients. */
     std::chrono::milliseconds netTimeout{10000};
 
-    /** Reconnect-and-reissue budget of socket-mode clients. */
-    unsigned netRetryBudget = 4;
-
     /**
-     * When the transport stays dead past the reconnect budget, run
-     * the request's cells locally on the daemon's Lab (deterministic,
-     * so the digest is unchanged) instead of abandoning it.
+     * Reconnect-and-reissue budget of socket-mode clients. A request
+     * whose transport stays dead past it runs locally on the daemon's
+     * Lab and store (deterministic, so the digest is unchanged).
      */
-    bool localFallback = true;
+    unsigned netRetryBudget = 4;
 };
 
 /** Aggregated outcome of a load-generation run. */

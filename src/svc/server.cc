@@ -154,6 +154,10 @@ Server::~Server()
     } catch (...) {
         // A destructor must not throw; sockets are closed regardless.
     }
+    // The wake pipe outlives the poll thread: stop() and the daemon's
+    // progress hooks may still write to it after the loop has exited.
+    ::close(wakeRead_);
+    ::close(wakeWrite_);
 }
 
 void
@@ -465,8 +469,6 @@ Server::pollLoop()
                 for (int fd : fds)
                     closeConnection(fd);
                 ::close(listenFd_);
-                ::close(wakeRead_);
-                ::close(wakeWrite_);
                 return;
             }
         }

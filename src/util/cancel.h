@@ -8,10 +8,13 @@
  * down cleanly — completed cells stay journaled, pending cells are
  * reported as cancelled, nothing is killed mid-write.
  *
- * requestCancel() is async-signal-safe when std::atomic<bool> is
- * lock-free (it is on every supported platform), so tsp-run's
- * SIGINT/SIGTERM handlers can trip the token directly and let the
- * sweep flush its checkpoint, metrics and trace sink before exiting.
+ * The latch is one atomic pointer to a static reason string, which
+ * the sweep engine reports as each skipped cell's error. The first
+ * reason wins. requestCancel() is async-signal-safe when
+ * std::atomic<const char *> is lock-free (it is on every supported
+ * platform), so tsp-run's SIGINT/SIGTERM handlers can trip the token
+ * directly and let the sweep flush its checkpoint, metrics and trace
+ * sink before exiting.
  */
 
 #ifndef TSP_UTIL_CANCEL_H
@@ -28,18 +31,31 @@ namespace tsp::util {
 class CancelToken
 {
   public:
-    /** Latch the token; idempotent and async-signal-safe. */
+    /**
+     * Latch the token; idempotent and async-signal-safe. @p reason
+     * must have static storage duration; a later call keeps the
+     * first reason.
+     */
     void
-    requestCancel() noexcept
+    requestCancel(const char *reason =
+                      "sweep cancelled before this cell started") noexcept
     {
-        cancelled_.store(true, std::memory_order_relaxed);
+        const char *none = nullptr;
+        reason_.compare_exchange_strong(none, reason);
     }
 
     /** True once requestCancel() has been called. */
     bool
     cancelled() const noexcept
     {
-        return cancelled_.load(std::memory_order_relaxed);
+        return reason_.load() != nullptr;
+    }
+
+    /** Why the token tripped; nullptr while it has not. */
+    const char *
+    reason() const noexcept
+    {
+        return reason_.load();
     }
 
     /** Throw FatalError("<what> cancelled") when cancelled. */
@@ -50,7 +66,7 @@ class CancelToken
     }
 
   private:
-    std::atomic<bool> cancelled_{false};
+    std::atomic<const char *> reason_{nullptr};
 };
 
 } // namespace tsp::util

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace tsp::util {
 
@@ -75,6 +76,17 @@ fmtBytes(uint64_t bytes)
                unit[idx];
     }
     return fmtFixed(v, 1) + " " + unit[idx];
+}
+
+std::string
+hexBits(double x)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(bits));
+    return buf;
 }
 
 } // namespace tsp::util

@@ -1,6 +1,7 @@
 /**
  * @file
- * Numeric formatting helpers for paper-style table output.
+ * Numeric formatting helpers for paper-style table output and
+ * result digests.
  */
 
 #ifndef TSP_UTIL_FORMAT_H
@@ -31,6 +32,12 @@ std::string fmtRatio(double x, int prec = 1);
 
 /** Byte count with binary units, e.g. 32768 -> "32 KB". */
 std::string fmtBytes(uint64_t bytes);
+
+/**
+ * A double's exact bit pattern as 16 hex digits, e.g. 1.0 ->
+ * "3ff0000000000000": digests built from it catch any drift.
+ */
+std::string hexBits(double x);
 
 } // namespace tsp::util
 

@@ -48,13 +48,6 @@ Watchdog::watch(std::string label)
 }
 
 void
-Watchdog::cancelOnOverdue(CancelToken *token)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    cancelOnOverdue_ = token;
-}
-
-void
 Watchdog::unwatch(uint64_t id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -102,8 +95,6 @@ Watchdog::loop()
             overdue_.push_back(task.label);
             fire.emplace_back(task.label, elapsed);
             obs::watchdogDeadlineFires().inc();
-            if (cancelOnOverdue_)
-                cancelOnOverdue_->requestCancel();
         }
         if (!fire.empty()) {
             lock.unlock();

@@ -22,8 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/cancel.h"
-
 namespace tsp::util {
 
 /** Background deadline monitor over RAII-registered tasks. */
@@ -80,15 +78,6 @@ class Watchdog
     /** Register a task under @p label until the Guard dies. */
     [[nodiscard]] Guard watch(std::string label);
 
-    /**
-     * Escalate from flagging to cancelling: once any task goes
-     * overdue, also trip @p token, so a sweep polling it winds down
-     * instead of queueing more cells behind the stuck one. The token
-     * must outlive the watchdog; nullptr (the default) restores
-     * flag-only behavior.
-     */
-    void cancelOnOverdue(CancelToken *token);
-
     /** Number of tasks flagged overdue so far (each at most once). */
     uint64_t overdueCount() const;
 
@@ -117,7 +106,6 @@ class Watchdog
     std::condition_variable cv_;
     std::map<uint64_t, Task> tasks_;
     std::vector<std::string> overdue_;
-    CancelToken *cancelOnOverdue_ = nullptr;
     uint64_t nextId_ = 0;
     bool stop_ = false;
     std::thread thread_;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -77,6 +78,107 @@ TEST(ParallelRunner, DuplicateJobsShareOneResult)
     EXPECT_EQ(results[0].executionTime, results[2].executionTime);
     EXPECT_EQ(results[0].placement.assignment(),
               results[2].placement.assignment());
+}
+
+/** What onCell reported for each input index, and whether two
+ *  calls ever overlapped. */
+struct CellLog
+{
+    struct Call
+    {
+        size_t count = 0;
+        bool ok = false;
+        std::string error;
+        double wallMs = -1.0;
+    };
+
+    explicit CellLog(size_t jobs) : calls(jobs) {}
+
+    std::function<void(size_t, const Outcome<RunResult> &, double)>
+    hook()
+    {
+        return [this](size_t i, const Outcome<RunResult> &outcome,
+                      double wallMs) {
+            if (inside.fetch_add(1) != 0)
+                overlapped = true;
+            // Widen the window a concurrent call would have to hit.
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            Call &call = calls.at(i);
+            ++call.count;
+            call.ok = outcome.ok();
+            call.error = outcome.ok() ? std::string() : outcome.error();
+            call.wallMs = wallMs;
+            inside.fetch_sub(1);
+        };
+    }
+
+    std::vector<Call> calls;
+    std::atomic<int> inside{0};
+    std::atomic<bool> overlapped{false};
+};
+
+TEST(ParallelRunner, OnCellSettlesEveryInputOnce)
+{
+    // One executed cell with a duplicate, one replayed cell with a
+    // duplicate, one failed cell and one more executed cell: alone,
+    // across the pool, and as lockstep lanes.
+    const RunJob ran{AppId::Water, Algorithm::LoadBal, {4, 2}, false};
+    const RunJob replayed{AppId::Water, Algorithm::Random, {2, 4}, false};
+    const RunJob poisoned{AppId::Water, Algorithm::ShareRefs, {4, 2},
+                          false};
+    const RunJob alsoRan{AppId::Water, Algorithm::MinShare, {8, 1},
+                         false};
+    const std::vector<RunJob> jobs = {ran, replayed, poisoned, ran,
+                                      alsoRan, replayed};
+    const std::string path = testing::TempDir() + "/on_cell.tspc";
+
+    for (SweepOptions options :
+         {SweepOptions{.jobs = 1, .batch = 1},
+          SweepOptions{.jobs = wideJobs(), .batch = 1},
+          SweepOptions{.jobs = wideJobs(), .batch = 3}}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << options.jobs
+                                        << ", batch " << options.batch);
+        std::remove(path.c_str());
+        Lab lab(kScale);
+        Checkpoint cp(path, kScale);
+        cp.record(replayed,
+                  lab.run(replayed.app, replayed.alg, replayed.point));
+
+        CellLog log(jobs.size());
+        SweepStats stats;
+        options.checkpoint = &cp;
+        options.statsOut = &stats;
+        options.onCell = log.hook();
+        options.faultInjector = [&](const RunJob &job) {
+            if (job.alg == poisoned.alg)
+                util::fatal("injected cell failure");
+        };
+        auto outcomes = ParallelRunner(lab, options).runAllOutcomes(jobs);
+        ASSERT_EQ(outcomes.size(), jobs.size());
+        EXPECT_EQ(stats.fromCheckpoint, 1u);
+        EXPECT_EQ(stats.executed, 3u);
+        EXPECT_EQ(stats.failed, 1u);
+
+        EXPECT_FALSE(log.overlapped);
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            const CellLog::Call &call = log.calls[i];
+            EXPECT_EQ(call.count, 1u) << "input " << i;
+            EXPECT_EQ(call.ok, outcomes[i].ok()) << "input " << i;
+        }
+        // Executed cells report their time; a duplicate shares it.
+        EXPECT_GT(log.calls[0].wallMs, 0.0);
+        EXPECT_EQ(log.calls[3].wallMs, log.calls[0].wallMs);
+        EXPECT_GT(log.calls[4].wallMs, 0.0);
+        // Replayed and failed cells report 0.0.
+        EXPECT_EQ(log.calls[1].wallMs, 0.0);
+        EXPECT_EQ(log.calls[5].wallMs, 0.0);
+        EXPECT_EQ(log.calls[2].wallMs, 0.0);
+        EXPECT_FALSE(log.calls[2].ok);
+        EXPECT_NE(log.calls[2].error.find("injected cell failure"),
+                  std::string::npos)
+            << log.calls[2].error;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ParallelRunner, ZeroJobsClampsToSerial)
@@ -191,7 +293,10 @@ TEST(Determinism, ResultsBitIdenticalWithObservabilityOnOrOff)
         Lab obsLab(kScale);
         SweepOptions options;
         options.jobs = wideJobs();
-        options.cellMillisOut = &cellMillis;
+        options.onCell = [&](size_t, const Outcome<RunResult> &,
+                             double wallMs) {
+            cellMillis.push_back(wallMs);
+        };
         observed = execTimeStudy(obsLab, app, algs, options);
     }
     obs::setMetricsEnabled(false);
@@ -602,6 +707,54 @@ TEST(Cancellation, PreCancelledTokenSkipsEveryCell)
     EXPECT_EQ(stats.executed, 0u);
     // Cancelled cells are not *failures* — nothing actually broke.
     EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(Cancellation, OnCellSeesCancelledCellsWithTheTokensReason)
+{
+    // A pre-cancelled token still replays journaled cells; every
+    // other cell settles once, with the token's reason and 0.0 ms.
+    const RunJob replayed{AppId::Water, Algorithm::Random, {2, 4}, false};
+    const RunJob skipped{AppId::Water, Algorithm::LoadBal, {4, 2}, false};
+    const std::vector<RunJob> jobs = {skipped, replayed, skipped};
+    const std::string path = testing::TempDir() + "/on_cell_cancel.tspc";
+
+    for (unsigned width : {1u, wideJobs()}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << width);
+        std::remove(path.c_str());
+        Lab lab(kScale);
+        Checkpoint cp(path, kScale);
+        cp.record(replayed,
+                  lab.run(replayed.app, replayed.alg, replayed.point));
+
+        util::CancelToken token;
+        token.requestCancel("test: cancelled before the sweep began");
+        CellLog log(jobs.size());
+        SweepStats stats;
+        SweepOptions options;
+        options.jobs = width;
+        options.checkpoint = &cp;
+        options.statsOut = &stats;
+        options.cancel = &token;
+        options.onCell = log.hook();
+        auto outcomes = ParallelRunner(lab, options).runAllOutcomes(jobs);
+        EXPECT_EQ(stats.fromCheckpoint, 1u);
+        EXPECT_EQ(stats.cancelled, 1u);
+
+        EXPECT_FALSE(log.overlapped);
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(log.calls[i].count, 1u) << "input " << i;
+            EXPECT_EQ(log.calls[i].wallMs, 0.0) << "input " << i;
+        }
+        EXPECT_TRUE(log.calls[1].ok);
+        for (size_t i : {0u, 2u}) {
+            EXPECT_FALSE(log.calls[i].ok);
+            EXPECT_EQ(log.calls[i].error,
+                      "test: cancelled before the sweep began");
+            ASSERT_FALSE(outcomes[i].ok());
+            EXPECT_EQ(outcomes[i].error(), log.calls[i].error);
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Cancellation, MidSweepCancelIsCleanlyResumable)

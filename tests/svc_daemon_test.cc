@@ -2,8 +2,9 @@
  * @file
  * The resident experiment daemon (svc::Daemon): admission control and
  * deterministic queue-full shedding, priority ordering, store-backed
- * dedup, queue-expiry and mid-run deadline cancellation (on a fake
- * clock), request-boundary fault containment, and graceful drain.
+ * dedup, sweep metrics for daemon cells, queue-expiry and mid-run
+ * deadline cancellation (on a fake clock), request-boundary fault
+ * containment, and graceful drain.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "obs/metric_defs.h"
+#include "obs/metrics.h"
 #include "svc/daemon.h"
 #include "util/error.h"
 
@@ -75,6 +78,7 @@ TEST(Daemon, AnswersARequestAndDedupsWithinTheStudy)
     // Identical cells within one study answer identically.
     EXPECT_EQ(response.outcomes[0].value().executionTime,
               response.outcomes[1].value().executionTime);
+    EXPECT_EQ(response.executed, 1u);
     EXPECT_GE(response.totalMillis, response.queueMillis);
 
     Daemon::Counters counters = daemon.counters();
@@ -192,6 +196,43 @@ TEST(Daemon, StoreDedupServesRepeatStudiesAsCacheHits)
     std::remove(path.c_str());
 }
 
+TEST(Daemon, StoreBackedCellsReportInTheSweepMetrics)
+{
+    // Daemon cells run through the sweep engine, so they count in
+    // sweep.cells_executed and, served again, in
+    // sweep.cells_from_checkpoint.
+    std::string path = testing::TempDir() + "/daemon_metrics.tsps";
+    std::remove(path.c_str());
+    Daemon::Config config = smallConfig();
+    config.storePath = path;
+    Daemon daemon(config);
+    StudyRequest request = study({jobAt(placement::Algorithm::LoadBal),
+                                  jobAt(placement::Algorithm::ShareRefs)});
+
+    obs::setMetricsEnabled(true);
+    const uint64_t executed0 = obs::sweepCellsExecuted().value();
+    const uint64_t replayed0 = obs::sweepCellsFromCheckpoint().value();
+    auto first = daemon.submit(request);
+    ASSERT_TRUE(first.admitted());
+    EXPECT_EQ(first.accepted->get().executed, 2u);
+    const uint64_t executed1 = obs::sweepCellsExecuted().value();
+    const uint64_t replayed1 = obs::sweepCellsFromCheckpoint().value();
+
+    auto again = daemon.submit(request);
+    ASSERT_TRUE(again.admitted());
+    EXPECT_EQ(again.accepted->get().cacheHits, 2u);
+    const uint64_t executed2 = obs::sweepCellsExecuted().value();
+    const uint64_t replayed2 = obs::sweepCellsFromCheckpoint().value();
+    obs::setMetricsEnabled(false);
+
+    EXPECT_EQ(executed1 - executed0, 2u);
+    EXPECT_EQ(replayed1 - replayed0, 0u);
+    EXPECT_EQ(executed2 - executed1, 0u);
+    EXPECT_EQ(replayed2 - replayed1, 2u);
+    daemon.drain();
+    std::remove(path.c_str());
+}
+
 TEST(Daemon, DeadlineExpiredWhileQueuedAnswersExpired)
 {
     Daemon::Config config = smallConfig();
@@ -216,7 +257,7 @@ TEST(Daemon, DeadlineExpiredWhileQueuedAnswersExpired)
 
 TEST(Daemon, MidRunDeadlineCancelsTailCellsDeterministically)
 {
-    // Fake clock: admission and the first between-cell check read T0;
+    // Fake clock: admission and the start of execution read T0;
     // every later read is past the 10ms deadline. Cell 1 runs, cells
     // 2 and 3 are answered as cancelled — deterministically, with no
     // real-time dependence (the watchdog is skipped under fake clocks).
@@ -224,10 +265,10 @@ TEST(Daemon, MidRunDeadlineCancelsTailCellsDeterministically)
     std::atomic<int> reads{0};
     const auto t0 = Daemon::Clock::time_point(0ms);
     config.clock = [&reads, t0]() {
-        // Reads 1..3: admission stamp, execute() start, the expiry
-        // gate before cell 1. From read 4 on (cell 2's gate), time
-        // has jumped past the deadline.
-        return (++reads <= 3) ? t0 : t0 + 20ms;
+        // Reads 1..2: admission stamp, execute() start. From read 3
+        // on (the expiry gate after cell 1), time has jumped past the
+        // deadline.
+        return (++reads <= 2) ? t0 : t0 + 20ms;
     };
     Daemon daemon(config);
 

@@ -253,9 +253,10 @@ TEST(CancelToken, IsAOneWayLatch)
 TEST(Watchdog, OverdueTaskTripsTheCancelToken)
 {
     CancelToken token;
-    Watchdog dog(20ms, [](const std::string &,
-                          std::chrono::milliseconds) {}, 5ms);
-    dog.cancelOnOverdue(&token);
+    Watchdog dog(20ms, [&token](const std::string &,
+                                std::chrono::milliseconds) {
+        token.requestCancel();
+    }, 5ms);
     {
         auto guard = dog.watch("runaway-cell");
         for (int i = 0; i < 2000 && !token.cancelled(); ++i)
@@ -268,9 +269,10 @@ TEST(Watchdog, OverdueTaskTripsTheCancelToken)
 TEST(Watchdog, FastTasksNeverTripTheCancelToken)
 {
     CancelToken token;
-    Watchdog dog(250ms, [](const std::string &,
-                           std::chrono::milliseconds) {}, 5ms);
-    dog.cancelOnOverdue(&token);
+    Watchdog dog(250ms, [&token](const std::string &,
+                                 std::chrono::milliseconds) {
+        token.requestCancel();
+    }, 5ms);
     for (int i = 0; i < 5; ++i) {
         auto guard = dog.watch("quick-cell");
     }

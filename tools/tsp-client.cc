@@ -57,7 +57,6 @@ namespace {
 using namespace tsp;
 using experiment::MachinePoint;
 using experiment::RunJob;
-using experiment::RunResult;
 
 int
 usage()
@@ -71,70 +70,6 @@ usage()
         "  --timeout MS   --local-fallback\n"
         "see docs/service.md for the wire protocol and semantics\n");
     return 2;
-}
-
-/** Exact bit pattern of a double, matching the loadgen's digests. */
-std::string
-hexBits(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
-}
-
-/** One result line per cell, in request order: digest input. */
-std::string
-resultLines(const std::vector<RunJob> &jobs,
-            const svc::StudyResponse &response)
-{
-    std::string text;
-    for (size_t i = 0; i < response.outcomes.size(); ++i) {
-        const auto &outcome = response.outcomes[i];
-        text += experiment::describeJob(jobs[i]) + " => ";
-        if (!outcome.ok()) {
-            text += "FAILED(" + outcome.error() + ")\n";
-            continue;
-        }
-        const RunResult &result = outcome.value();
-        text += "t=" + std::to_string(result.executionTime) +
-                " imb=" + hexBits(result.loadImbalance) + " refs=" +
-                std::to_string(result.stats.totalMemRefs()) +
-                " miss=" +
-                std::to_string(result.missSummary().totalMisses()) +
-                "\n";
-    }
-    return text;
-}
-
-/**
- * Graceful degradation: the same deterministic simulation the server
- * would have run, minus the store — answers match bit-for-bit.
- */
-svc::StudyResponse
-runLocally(uint32_t scale, const std::vector<RunJob> &jobs)
-{
-    experiment::Lab lab(scale);
-    svc::StudyResponse response;
-    response.outcomes.assign(jobs.size(),
-                             experiment::Outcome<RunResult>{});
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const RunJob &job = jobs[i];
-        try {
-            response.outcomes[i] =
-                experiment::Outcome<RunResult>::success(
-                    lab.run(job.app, job.alg, job.point,
-                            job.infiniteCache, job.memSystem));
-            ++response.executed;
-        } catch (const std::exception &e) {
-            response.outcomes[i] =
-                experiment::Outcome<RunResult>::failure(e.what());
-        }
-    }
-    response.status = svc::StudyStatus::Completed;
-    return response;
 }
 
 int
@@ -256,7 +191,10 @@ run(int argc, char **argv)
                     "cells locally\n",
                     got.attempts, jobs.size());
         std::fflush(stdout);
-        answer = runLocally(scale, jobs);
+        // The same deterministic simulation the server would have
+        // run, minus the store: answers match bit for bit.
+        experiment::Lab lab(scale);
+        answer = svc::runStudy(lab, jobs);
     } else {
         std::printf("transport dead after %u attempts "
                     "(%u reconnects)\n",
@@ -265,7 +203,9 @@ run(int argc, char **argv)
     }
 
     const svc::StudyResponse &response = *answer;
-    std::string lines = resultLines(jobs, response);
+    std::string lines;
+    for (size_t i = 0; i < response.outcomes.size(); ++i)
+        lines += svc::cellResultLine(jobs[i], response.outcomes[i]) + "\n";
     std::fputs(lines.c_str(), stdout);
     std::printf("status: %s, %u attempts, %u reconnects\n",
                 svc::statusName(response.status).c_str(),

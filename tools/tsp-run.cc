@@ -92,7 +92,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -343,7 +342,7 @@ runSweep(int argc, char **argv)
 
     std::vector<experiment::JobFailure> failures;
     experiment::SweepStats stats;
-    std::vector<double> cellMillis;
+    double cellMsSum = 0.0, cellMsMax = 0.0;
     const auto study =
         hierarchy ? experiment::hierarchyStudy : experiment::execTimeStudy;
     const auto rows = study(
@@ -353,9 +352,12 @@ runSweep(int argc, char **argv)
          .checkpoint = checkpoint ? &*checkpoint : nullptr,
          .failures = &failures,
          .statsOut = &stats,
-         .cellMillisOut = &cellMillis,
          .jobDeadline = std::chrono::milliseconds(deadlineMs),
-         .cancel = &gCancel});
+         .cancel = &gCancel,
+         .onCell = [&](size_t, const auto &, double wallMs) {
+             cellMsSum += wallMs;
+             cellMsMax = std::max(cellMsMax, wallMs);
+         }});
     std::printf("%s", experiment::renderSweepTables(
                           workload::appName(app) +
                               " execution time normalized to RANDOM",
@@ -370,14 +372,10 @@ runSweep(int argc, char **argv)
         std::printf("cancelled: %zu cells skipped (signal %d)\n",
                     stats.cancelled, static_cast<int>(gSignal));
     if (stats.executed) {
-        const double sum =
-            std::accumulate(cellMillis.begin(), cellMillis.end(), 0.0);
-        const double maxMs =
-            *std::max_element(cellMillis.begin(), cellMillis.end());
         std::printf("cell wall time: %s ms total (max %s ms per "
                     "cell)\n",
-                    util::fmtFixed(sum, 1).c_str(),
-                    util::fmtFixed(maxMs, 1).c_str());
+                    util::fmtFixed(cellMsSum, 1).c_str(),
+                    util::fmtFixed(cellMsMax, 1).c_str());
     }
     if (stats.watchdogFlagged)
         std::printf("watchdog: %zu cells exceeded the %llu ms "
