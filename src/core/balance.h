@@ -4,6 +4,10 @@
  * (Section 2): thread-balance (each processor gets floor(t/p) or
  * ceil(t/p) threads) and load-balance (combined instruction load within
  * a slack of the ideal per-processor load; the paper uses ~10%).
+ *
+ * Both are built so that the clustering engine always finds a
+ * permitted merge, possibly after relaxing the load-balance slack; they
+ * stand in for the paper's backtracking (core/clusterer.h).
  */
 
 #ifndef TSP_CORE_BALANCE_H
@@ -46,7 +50,8 @@ class BalanceConstraint
     /**
      * Called when no candidate pair is mergeable but more merges are
      * needed. Returns true if the constraint relaxed itself and the
-     * engine should retry, false if it cannot relax further.
+     * engine should retry, false if it cannot relax further (the
+     * engine then throws FatalError).
      */
     virtual bool relax() { return false; }
 };
@@ -73,8 +78,10 @@ class ThreadBalanceConstraint : public BalanceConstraint
  * The +LB criterion: a merge is allowed when the combined cluster load
  * does not exceed (1 + slack) of the ideal per-processor load. Starts
  * at the paper's 10% slack and relaxes geometrically when the engine
- * stalls (the paper resolves stalls by backtracking; relaxation reaches
- * the same end state without exponential search).
+ * stalls, where the paper backtracks. Slack 1.0 always admits merging
+ * the two lightest clusters (they hold under twice the ideal load), and
+ * the sixth relaxation already reaches 1.35, so one clustering run
+ * never calls relax() more than six times.
  */
 class LoadBalanceConstraint : public BalanceConstraint
 {

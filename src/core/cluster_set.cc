@@ -1,6 +1,5 @@
 #include "core/cluster_set.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.h"
@@ -22,48 +21,11 @@ ClusterSet::merge(size_t a, size_t b)
                   "invalid cluster merge");
     if (a > b)
         std::swap(a, b);
-    undoStack_.push_back({a, b, clusters_[a].size()});
     auto &dst = clusters_[a];
     auto &src = clusters_[b];
     dst.insert(dst.end(), src.begin(), src.end());
     clusters_.erase(clusters_.begin() +
                     static_cast<std::ptrdiff_t>(b));
-}
-
-bool
-ClusterSet::undo()
-{
-    if (undoStack_.empty())
-        return false;
-    MergeRecord rec = undoStack_.back();
-    undoStack_.pop_back();
-    auto &dst = clusters_[rec.dst];
-    std::vector<uint32_t> src(dst.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      rec.dstPrevSize),
-                              dst.end());
-    dst.resize(rec.dstPrevSize);
-    clusters_.insert(clusters_.begin() +
-                         static_cast<std::ptrdiff_t>(rec.srcIndex),
-                     std::move(src));
-    return true;
-}
-
-std::pair<uint32_t, uint32_t>
-ClusterSet::lastMergePair() const
-{
-    util::panicIf(undoStack_.empty(), "no merge to identify");
-    const MergeRecord &rec = undoStack_.back();
-    const auto &dst = clusters_[rec.dst];
-    uint32_t ma = *std::min_element(
-        dst.begin(),
-        dst.begin() + static_cast<std::ptrdiff_t>(rec.dstPrevSize));
-    uint32_t mb = *std::min_element(
-        dst.begin() + static_cast<std::ptrdiff_t>(rec.dstPrevSize),
-        dst.end());
-    if (ma > mb)
-        std::swap(ma, mb);
-    return {ma, mb};
 }
 
 PlacementMap

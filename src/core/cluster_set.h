@@ -10,16 +10,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/placement_map.h"
 
 namespace tsp::placement {
 
-/**
- * A partition of threads into clusters supporting merge and undo.
- */
+/** A partition of threads into clusters that only ever merge. */
 class ClusterSet
 {
   public:
@@ -43,37 +40,16 @@ class ClusterSet
 
     /**
      * Merge cluster @p b into cluster @p a (a != b). Indices of later
-     * clusters shift down by one; the merge is recorded for undo.
+     * clusters shift down by one.
      */
     void merge(size_t a, size_t b);
-
-    /** Undo the most recent merge. Returns false if none to undo. */
-    bool undo();
-
-    /**
-     * Identity of the most recent merge as the pair (min member of the
-     * destination half, min member of the source half), min-first.
-     * Requires at least one merge on the undo stack.
-     */
-    std::pair<uint32_t, uint32_t> lastMergePair() const;
-
-    /** Number of merges currently on the undo stack. */
-    size_t mergeDepth() const { return undoStack_.size(); }
 
     /** Convert the current partition into a placement map. */
     PlacementMap toPlacement(uint32_t processors) const;
 
   private:
-    struct MergeRecord
-    {
-        size_t dst;          //!< cluster that received the members
-        size_t srcIndex;     //!< original index of the removed cluster
-        size_t dstPrevSize;  //!< dst size before the merge
-    };
-
     uint32_t threads_;
     std::vector<std::vector<uint32_t>> clusters_;
-    std::vector<MergeRecord> undoStack_;
 };
 
 } // namespace tsp::placement

@@ -1,8 +1,6 @@
 #include "core/clusterer.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <set>
 #include <vector>
 
 #include "util/error.h"
@@ -11,23 +9,6 @@
 namespace tsp::placement {
 
 namespace {
-
-/**
- * State-independent identity of a candidate merge: the smallest thread
- * id in each cluster (cluster min-members are unique within a
- * partition).
- */
-uint64_t
-pairKey(const ClusterSet &cs, size_t a, size_t b)
-{
-    uint32_t ma = *std::min_element(cs.members(a).begin(),
-                                    cs.members(a).end());
-    uint32_t mb = *std::min_element(cs.members(b).begin(),
-                                    cs.members(b).end());
-    if (ma > mb)
-        std::swap(ma, mb);
-    return (static_cast<uint64_t>(ma) << 32) | mb;
-}
 
 /** A scored candidate pair. */
 struct Candidate
@@ -40,9 +21,8 @@ struct Candidate
 } // namespace
 
 GreedyClusterer::GreedyClusterer(const SharingMetric &metric,
-                                 BalanceConstraint &constraint,
-                                 Options options)
-    : metric_(metric), constraint_(constraint), options_(options)
+                                 BalanceConstraint &constraint)
+    : metric_(metric), constraint_(constraint)
 {}
 
 PlacementMap
@@ -55,11 +35,6 @@ GreedyClusterer::run(uint32_t threads, uint32_t processors)
     // (Section 2.1, step 1).
     if (cs.clusterCount() <= processors)
         return cs.toPlacement(processors);
-
-    // One forbidden-set frame per merge depth; frame d holds merges
-    // proven fruitless in the partition state reached after d merges.
-    std::vector<std::set<uint64_t>> forbidden(1);
-    size_t backtracks = 0;
 
     while (cs.clusterCount() > processors) {
         // Step 2: score every cluster pair.
@@ -74,18 +49,12 @@ GreedyClusterer::run(uint32_t threads, uint32_t processors)
                       return y.score < x.score;  // descending
                   });
 
-        // Step 3: take the best pair the constraint (and the forbidden
-        // set) permits.
-        const auto &banned = forbidden[cs.mergeDepth()];
+        // Step 3: take the best pair the constraint permits.
         bool merged = false;
         for (const auto &cand : candidates) {
-            if (banned.count(pairKey(cs, cand.a, cand.b)))
-                continue;
             if (!constraint_.canMerge(cs, cand.a, cand.b))
                 continue;
             cs.merge(cand.a, cand.b);
-            forbidden.resize(cs.mergeDepth() + 1);
-            forbidden.back().clear();
             if (observer_)
                 observer_(cs, cand.a, cand.b, cand.score);
             merged = true;
@@ -94,24 +63,12 @@ GreedyClusterer::run(uint32_t threads, uint32_t processors)
         if (merged)
             continue;
 
-        // Stalled. Let the constraint relax itself first (load-balance
-        // slack), then apply the paper's backtracking rule.
-        if (constraint_.relax()) {
-            util::debug("clusterer: constraint relaxed");
-            continue;
-        }
-        util::fatalIf(++backtracks > options_.maxBacktracks,
-                      "clustering exceeded backtrack budget");
-        util::fatalIf(cs.mergeDepth() == 0,
+        // Stalled: only the load-balance slack can, and always does,
+        // unblock it (see the class comment).
+        util::fatalIf(!constraint_.relax(),
                       "clustering infeasible: no merge sequence reaches "
                       "the requested processor count");
-        // Undo the most recent merge and forbid exactly that merge in
-        // the parent state (Section 2.1, step 4).
-        auto [ma, mb] = cs.lastMergePair();
-        uint64_t key = (static_cast<uint64_t>(ma) << 32) | mb;
-        cs.undo();
-        forbidden.resize(cs.mergeDepth() + 1);
-        forbidden[cs.mergeDepth()].insert(key);
+        util::debug("clusterer: constraint relaxed");
     }
     return cs.toPlacement(processors);
 }

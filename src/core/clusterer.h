@@ -21,31 +21,34 @@
 namespace tsp::placement {
 
 /**
- * Greedy hierarchical clusterer with the paper's backtracking rule:
- * combine the highest-metric pair the balance constraint permits; when
- * no pair is permitted, first let the constraint relax itself (used by
- * the load-balance slack), then undo the most recent merge and forbid
- * it (Section 2.1, step 4).
+ * Greedy hierarchical clusterer: combine the highest-metric pair the
+ * balance constraint permits until one cluster per processor remains.
+ *
+ * The paper backtracks when no pair is permitted (Section 2.1, step
+ * 4). Neither constraint here can reach that dead end, so there is no
+ * backtracking:
+ *
+ *  - thread-balance: the exact feasibility oracle permits only merges
+ *    that leave the partition completable into balanced bins; with
+ *    more clusters than processors some bin of that completion holds
+ *    two clusters, and merging those two is permitted;
+ *  - load-balance (+LB): a stall lets the constraint relax its slack.
+ *    The two lightest of k > p clusters hold under twice the ideal
+ *    load, so slack 1.0 always admits a merge, and relax() reaches it
+ *    in six steps, far below its cap.
+ *
+ * A stall the constraint cannot relax (only a custom constraint can
+ * cause one) throws FatalError.
  */
 class GreedyClusterer
 {
   public:
-    /** Engine limits. */
-    struct Options
-    {
-        /** Upper bound on undo operations before giving up. */
-        size_t maxBacktracks = 10000;
-
-        Options() {}
-    };
-
     /**
      * @param metric     ranks candidate cluster pairs (not owned)
      * @param constraint decides merge legality; may self-relax (not owned)
      */
     GreedyClusterer(const SharingMetric &metric,
-                    BalanceConstraint &constraint,
-                    Options options = Options());
+                    BalanceConstraint &constraint);
 
     /**
      * Observer invoked after every accepted merge with the partition
@@ -64,15 +67,14 @@ class GreedyClusterer
 
     /**
      * Cluster @p threads threads into @p processors clusters and return
-     * the placement. Throws FatalError if the search space is exhausted
-     * (cannot happen with the thread-balance constraint).
+     * the placement. Throws FatalError on a stall the constraint cannot
+     * relax.
      */
     PlacementMap run(uint32_t threads, uint32_t processors);
 
   private:
     const SharingMetric &metric_;
     BalanceConstraint &constraint_;
-    Options options_;
     MergeObserver observer_;
 };
 

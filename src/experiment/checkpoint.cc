@@ -31,15 +31,6 @@ constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
 /** Keys are tiny fixed-layout configuration tuples. */
 constexpr uint32_t kMaxKeyBytes = 256;
 
-uint64_t
-fnv1a(std::string_view bytes)
-{
-    uint64_t hash = 1469598103934665603ull;
-    for (unsigned char c : bytes)
-        hash = (hash ^ c) * 1099511628211ull;
-    return hash;
-}
-
 /** Canonical key bytes: scale, app, alg, point, cache, memory system. */
 std::string
 keyOf(const RunJob &job, uint32_t scale)
@@ -71,7 +62,7 @@ frameOf(const std::string &key, const RunResult &result)
     // The digest is a content-address self-check: a record whose
     // digest does not match its key is corrupt despite a valid CRC.
     codec::ByteWriter payload;
-    payload.u64(fnv1a(key));
+    payload.u64(util::fnv1a(key));
     payload.u32(static_cast<uint32_t>(key.size()));
     payload.raw(key.data(), key.size());
     codec::writeRunResult(payload, result);
@@ -197,7 +188,7 @@ Checkpoint::adopt(std::string_view bytes, uint64_t offset)
             RunResult result = codec::readRunResult(r);
             util::fatalIf(!r.done(),
                           "result store record has trailing bytes");
-            util::fatalIf(digest != fnv1a(key),
+            util::fatalIf(digest != util::fnv1a(key),
                           "result store record digest mismatch");
             // First writer wins (the simulation is deterministic, so
             // an honest duplicate is bit-identical anyway). A key

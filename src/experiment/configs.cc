@@ -58,7 +58,6 @@ applyMemSystem(sim::SimConfig &cfg, MemSystem ms)
     cfg.l2Bytes = 4 * cfg.cacheBytes;
     cfg.l2Associativity = 8;
     cfg.l2HitLatency = 12;
-    cfg.l2Inclusive = true;
     if (ms == MemSystem::SharedL2)
         return;
     cfg.protocol = sim::Protocol::Moesi;

@@ -100,7 +100,6 @@ memSystemKnobs()
 {
     const SimConfig d;  // defaults come from the code, never the doc
     auto num = [](uint64_t v) { return std::to_string(v); };
-    auto onOff = [](bool v) { return std::string(v ? "true" : "false"); };
     return {
         {"cacheBytes", num(d.cacheBytes),
          "power of two >= blockBytes"},
@@ -109,14 +108,12 @@ memSystemKnobs()
          "power of two in [1, 64]"},
         {"hitLatency", num(d.hitLatency), ">= 1 cycle"},
         {"memoryLatency", num(d.memoryLatency), ">= 1 cycle"},
-        {"stallOnUpgrade", onOff(d.stallOnUpgrade), "true / false"},
         {"protocol", protocolName(d.protocol), "MSI / MESI / MOESI"},
         {"l2Bytes", num(d.l2Bytes),
          "0 (no L2) or a power of two >= blockBytes x l2Associativity"},
         {"l2Associativity", num(d.l2Associativity),
          "power of two in [1, 64]"},
         {"l2HitLatency", num(d.l2HitLatency), "[1, memoryLatency)"},
-        {"l2Inclusive", onOff(d.l2Inclusive), "true / false"},
         {"networkLinks", num(d.networkLinks),
          "0 (contention-free) or [1, 4096]"},
         {"linkOccupancy", num(d.linkOccupancy), ">= 1 cycle"},
@@ -138,8 +135,7 @@ SimConfig::describe() const
     if (protocol != Protocol::Mesi)
         os << ", " << protocolName(protocol);
     if (l2Bytes > 0) {
-        os << ", " << (l2Inclusive ? "inclusive" : "exclusive")
-           << " shared L2 " << util::fmtBytes(l2Bytes) << ' '
+        os << ", inclusive shared L2 " << util::fmtBytes(l2Bytes) << ' '
            << l2Associativity << "-way " << l2HitLatency << "cy";
     }
     if (networkLinks > 0) {

@@ -100,9 +100,9 @@ struct SimConfig
     /**
      * Shared L2/LLC capacity in bytes (power of two). 0 (default)
      * disables the L2 entirely — the paper's one-level hierarchy — so
-     * every L1 miss pays the full memoryLatency. When enabled, L1
-     * misses that hit the shared L2 pay l2HitLatency instead (see
-     * sim/l2_cache.h).
+     * every L1 miss pays the full memoryLatency. When enabled, the L2
+     * is inclusive and L1 misses that hit it pay l2HitLatency instead
+     * (see sim/l2_cache.h).
      */
     uint64_t l2Bytes = 0;
 
@@ -111,14 +111,6 @@ struct SimConfig
 
     /** Latency of an L1 miss served by the shared L2, in cycles. */
     uint32_t l2HitLatency = 12;
-
-    /**
-     * Shared L2 inclusion policy. Inclusive (default): every L1-resident
-     * block is also in the L2, and an L2 eviction back-invalidates the
-     * L1 copies. Exclusive: the L2 is a victim cache holding only
-     * blocks resident in no L1.
-     */
-    bool l2Inclusive = true;
 
     /**
      * Queued-interconnect contention model: address-interleaved links,
@@ -133,14 +125,6 @@ struct SimConfig
 
     /** Cycles to drain the pipeline on a context switch. */
     uint32_t contextSwitchCycles = 6;
-
-    /**
-     * Whether a write hit that must invalidate remote sharers (an
-     * upgrade) stalls the issuing context like a miss. The paper's
-     * context switches are initiated by cache misses only, so the
-     * default is false (the write retires; invalidations propagate).
-     */
-    bool stallOnUpgrade = false;
 
     /**
      * Collect the write-run sharing profile (SharingMonitor) during

@@ -48,10 +48,9 @@ dirStateName(Directory::State s)
 InvariantChecker::InvariantChecker(const Directory &directory,
                                    const std::vector<Cache> &caches,
                                    const SimStats &stats,
-                                   const SharedL2 *l2,
-                                   bool l2Inclusive)
+                                   const SharedL2 *l2)
     : directory_(directory), caches_(caches), stats_(stats), l2_(l2),
-      l2Inclusive_(l2Inclusive), prev_(caches.size())
+      prev_(caches.size())
 {}
 
 std::string
@@ -193,32 +192,16 @@ InvariantChecker::checkL2(uint64_t when) const
 {
     if (!l2_)
         return;
-    if (l2Inclusive_) {
-        // Inclusion: every L1-resident block is L2-resident.
-        for (uint32_t p = 0; p < caches_.size(); ++p) {
-            for (const Cache::Frame &f : caches_[p].frames()) {
-                if (!f.valid())
-                    continue;
-                if (!l2_->present(f.tag)) {
-                    util::panic(util::concat(
-                        "L2 inclusion violated at ref ", when,
-                        ": cache ", p, " holds a block absent from "
-                        "the inclusive L2 [", dumpBlock(f.tag), "]"));
-                }
-            }
-        }
-        return;
-    }
-    // Exclusivity: the victim cache holds only blocks in no L1.
-    for (const SharedL2::Frame &lf : l2_->frames()) {
-        if (!lf.valid)
-            continue;
-        for (uint32_t p = 0; p < caches_.size(); ++p) {
-            if (caches_[p].present(lf.tag)) {
+    // Inclusion: every L1-resident block is L2-resident.
+    for (uint32_t p = 0; p < caches_.size(); ++p) {
+        for (const Cache::Frame &f : caches_[p].frames()) {
+            if (!f.valid())
+                continue;
+            if (!l2_->present(f.tag)) {
                 util::panic(util::concat(
-                    "L2 exclusivity violated at ref ", when,
-                    ": cache ", p, " and the exclusive L2 both hold "
-                    "a block [", dumpBlock(lf.tag), "]"));
+                    "L2 inclusion violated at ref ", when, ": cache ",
+                    p, " holds a block absent from the inclusive L2 [",
+                    dumpBlock(f.tag), "]"));
             }
         }
     }

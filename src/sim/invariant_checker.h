@@ -15,9 +15,8 @@
  *    Uncached block has no sharers;
  *  - caches vs directory: every valid frame's block has a directory
  *    entry listing that cache as a sharer;
- *  - shared L2, when present: inclusive — every valid L1 frame's
- *    block is L2-resident; exclusive — no L2-resident block is in
- *    any L1;
+ *  - shared L2, when present: inclusion — every valid L1 frame's
+ *    block is L2-resident;
  *  - counters: per-processor hits + misses == memory references,
  *    references <= instructions, and every counter is monotonically
  *    non-decreasing between checks (the checker keeps the previous
@@ -58,8 +57,6 @@ class InvariantChecker
      *                    sized to the cache count for the checker's
      *                    lifetime)
      * @param l2          the shared L2, or nullptr when disabled
-     * @param l2Inclusive the L2's inclusion policy (ignored without
-     *                    an L2)
      *
      * The checker aliases everything passed; it all must outlive it.
      * The protocol checked is the directory's.
@@ -67,8 +64,7 @@ class InvariantChecker
     InvariantChecker(const Directory &directory,
                      const std::vector<Cache> &caches,
                      const SimStats &stats,
-                     const SharedL2 *l2 = nullptr,
-                     bool l2Inclusive = true);
+                     const SharedL2 *l2 = nullptr);
 
     /**
      * Validate every invariant; throws util::PanicError with a state
@@ -105,7 +101,6 @@ class InvariantChecker
     const std::vector<Cache> &caches_;
     const SimStats &stats_;
     const SharedL2 *l2_;
-    bool l2Inclusive_;
     std::vector<ProcSnapshot> prev_;
     uint64_t checksRun_ = 0;
 };

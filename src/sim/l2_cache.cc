@@ -73,22 +73,6 @@ SharedL2::insert(uint64_t block, bool dirty)
     return out;
 }
 
-bool
-SharedL2::remove(uint64_t block)
-{
-    size_t base = setBase(block);
-    for (uint32_t w = 0; w < ways_; ++w) {
-        Frame &f = frames_[base + w];
-        if (f.valid && f.tag == block) {
-            bool wasDirty = f.dirty;
-            f.valid = false;
-            f.dirty = false;
-            return wasDirty;
-        }
-    }
-    return false;
-}
-
 void
 SharedL2::markDirty(uint64_t block)
 {

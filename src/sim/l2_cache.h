@@ -5,13 +5,9 @@
  * shared by all processors, and purely a latency filter: an L1 miss
  * that hits here costs l2HitLatency instead of the full memoryLatency.
  *
- * Two inclusion policies (SimConfig::l2Inclusive):
- *
- *  - inclusive: every L1-resident block is also here; an L2 eviction
- *    therefore back-invalidates the L1 copies (the Machine drives
- *    that through the directory and Cache::backInvalidate);
- *  - exclusive: a victim cache — blocks live here only after leaving
- *    every L1, and an L1 fill that hits pulls the block back out.
+ * The L2 is inclusive: every L1-resident block is also here, so an L2
+ * eviction back-invalidates the L1 copies (the Machine drives that
+ * through the directory and Cache::backInvalidate).
  *
  * The L2 keeps no coherence state of its own (the directory already
  * tracks sharers exactly); it tracks only presence, recency, and a
@@ -67,13 +63,6 @@ class SharedL2
      * state, evicting the set's LRU frame when the set is full.
      */
     Victim insert(uint64_t block, bool dirty);
-
-    /**
-     * Remove @p block (exclusive policy: an L1 fill pulls the block
-     * out of the victim cache). Returns whether the departing copy
-     * was dirty; false when the block was not present.
-     */
-    bool remove(uint64_t block);
 
     /**
      * Mark @p block's copy dirty (an L1 wrote back into it). No-op

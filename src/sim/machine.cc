@@ -51,7 +51,7 @@ Machine::Machine(const SimConfig &cfg, const trace::TraceSource &source,
         monitor_.emplace();
     if (cfg_.paranoidEvery > 0) {
         checker_.emplace(directory_, caches_, stats_,
-                         l2_ ? &*l2_ : nullptr, cfg_.l2Inclusive);
+                         l2_ ? &*l2_ : nullptr);
         refsUntilCheck_ = cfg_.paranoidEvery;
     }
 
@@ -255,17 +255,14 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
                 hit->state == CoherenceState::Owned) {
                 // Upgrade: gain ownership, invalidating remote copies
                 // (a MOESI Owned copy has sharers too — same path).
+                // The write retires without stalling: the paper's
+                // context switches are triggered by misses only.
                 auto txn = directory_.write(p, tid, block);
                 ++ps.upgrades;
                 applyInvalidations(p, tid, txn, block);
-                hit->state = CoherenceState::Modified;
-                hit->threadId = tid;
-                // An upgrade carries no data: a stall costs the full
-                // directory round-trip, never an L2 fill.
-                missFillCycles_ = cfg_.memoryLatency;
-                return cfg_.stallOnUpgrade && txn.anyInvalidate();
             }
-            hit->state = CoherenceState::Modified;  // silent E/M -> M
+            // After the upgrade, or silently from E/M.
+            hit->state = CoherenceState::Modified;
         }
         hit->threadId = tid;
         return false;
@@ -294,46 +291,23 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
             ++ps.writebacks;
         directory_.evictEntry(p, frameEntry);
         cache.recordEviction(frame.tag, tid);
-        if (l2_) {
-            if (cfg_.l2Inclusive) {
-                // The writeback lands in the L2 copy (inclusion
-                // guarantees it exists).
-                if (wasDirty)
-                    l2_->markDirty(frame.tag);
-            } else if (frameEntry->sharerCount() == 0) {
-                // Exclusive L2 is a victim cache: the block enters it
-                // only once the last L1 copy leaves.
-                SharedL2::Victim v = l2_->insert(frame.tag, wasDirty);
-                if (v.evicted && v.dirty)
-                    ++stats_.l2Writebacks;
-            }
-        }
+        // The writeback lands in the L2 copy (inclusion guarantees
+        // it exists).
+        if (l2_ && wasDirty)
+            l2_->markDirty(frame.tag);
     }
 
     // Fill latency: full memory unless the shared L2 has the block.
     missFillCycles_ = cfg_.memoryLatency;
     if (l2_) {
-        if (cfg_.l2Inclusive) {
-            if (l2_->lookup(block)) {
-                ++stats_.l2Hits;
-                missFillCycles_ = cfg_.l2HitLatency;
-            } else {
-                ++stats_.l2Misses;
-                SharedL2::Victim v = l2_->insert(block, false);
-                if (v.evicted)
-                    backInvalidateL1s(v.block, v.dirty, tid);
-            }
+        if (l2_->lookup(block)) {
+            ++stats_.l2Hits;
+            missFillCycles_ = cfg_.l2HitLatency;
         } else {
-            if (l2_->present(block)) {
-                ++stats_.l2Hits;
-                missFillCycles_ = cfg_.l2HitLatency;
-                // The L1 fill pulls the block out; a dirty victim-
-                // cache copy is flushed to memory on the way.
-                if (l2_->remove(block))
-                    ++stats_.l2Writebacks;
-            } else {
-                ++stats_.l2Misses;
-            }
+            ++stats_.l2Misses;
+            SharedL2::Victim v = l2_->insert(block, false);
+            if (v.evicted)
+                backInvalidateL1s(v.block, v.dirty, tid);
         }
     }
 

@@ -1,14 +1,11 @@
 #include "svc/daemon.h"
 
-#include <algorithm>
-
 #include "fault/fault.h"
 #include "obs/metric_defs.h"
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/format.h"
 #include "util/logging.h"
-#include "util/watchdog.h"
 
 namespace tsp::svc {
 
@@ -17,9 +14,6 @@ using experiment::RunJob;
 using experiment::RunResult;
 
 namespace {
-
-/** Poll period of the per-request deadline watchdog. */
-constexpr std::chrono::milliseconds kWatchdogPoll{2};
 
 /** Why a request's tail cells were cancelled. */
 constexpr const char *kDeadlineReason =
@@ -330,29 +324,15 @@ Daemon::execute(Pending &pending)
         return response;
     }
 
-    // Per-request deadline enforcement: a real-time watchdog trips
-    // the token if a cell stalls past the remaining budget, and the
-    // inline clock check after each cell makes the common case (the
-    // budget runs out across many cells) deterministic.
+    // Per-request deadline enforcement: the clock is checked after
+    // each cell, and an overdue request trips the token so every cell
+    // not yet started is answered as cancelled. The runner never
+    // interrupts a running cell, so this is the only check needed.
+    //
+    // The same callback is the running heartbeat after every cell
+    // disposition (run, hit, failure or cancellation), piggybacking
+    // the cell's wall time so remote clients see per-cell pacing.
     util::CancelToken cancel;
-    std::optional<util::Watchdog> watchdog;
-    std::optional<util::Watchdog::Guard> guard;
-    if (pending.expiry != Clock::time_point::max() && !config_.clock) {
-        auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                pending.expiry - start);
-        watchdog.emplace(
-            std::max(remaining, std::chrono::milliseconds(1)),
-            [&cancel](const std::string &, std::chrono::milliseconds) {
-                cancel.requestCancel(kDeadlineReason);
-            },
-            kWatchdogPoll);
-        guard.emplace(watchdog->watch("study"));
-    }
-
-    // Running heartbeat after every cell disposition (run, hit,
-    // failure or cancellation), piggybacking the cell's wall time so
-    // remote clients see per-cell pacing.
     StudyProgress running;
     running.stage = StudyProgress::Stage::Running;
     running.totalCells =

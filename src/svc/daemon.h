@@ -15,10 +15,10 @@
  *    never blocks and never holds daemon resources;
  *  - *deadlines* — a request carries a deadline measured from
  *    admission. Expired while still queued, it is answered Expired
- *    without running anything; overdue mid-run, a per-request
- *    Watchdog trips the request's CancelToken (with deterministic
- *    inline clock checks after each cell), the in-flight cell
- *    finishes, and the remaining cells are answered as cancelled;
+ *    without running anything; overdue mid-run, the clock check after
+ *    each cell trips the request's CancelToken (the running cell is
+ *    never interrupted, so no monitor thread is needed), and the
+ *    remaining cells are answered as cancelled;
  *  - *resilience* — any exception a request raises (including
  *    injected faults at the `svc.dequeue` site and a PanicError from
  *    a cell) is caught at the request boundary and reported as a
@@ -215,9 +215,7 @@ class Daemon
 
         /**
          * Test-only clock override (admission stamps, expiry checks,
-         * latency accounting); empty = steady_clock. Under a fake
-         * clock the real-time watchdog is skipped — the inline
-         * between-cell checks drive cancellation deterministically.
+         * latency accounting); empty = steady_clock.
          */
         std::function<Clock::time_point()> clock;
     };

@@ -336,11 +336,7 @@ decodeReject(std::string_view payload)
 uint64_t
 requestDigest(const StudyRequest &request)
 {
-    std::string bytes = encodeSubmit(request);
-    uint64_t hash = 1469598103934665603ull;
-    for (unsigned char c : bytes)
-        hash = (hash ^ c) * 1099511628211ull;
-    return hash;
+    return util::fnv1a(encodeSubmit(request));
 }
 
 } // namespace tsp::svc::wire

@@ -5,6 +5,11 @@
  * result store records. A checksum is not a signature — it
  * detects corruption (torn writes, bit rot, truncation), not
  * tampering, which is all the robustness layer needs.
+ *
+ * Also the one 64-bit FNV-1a hash, which names byte strings rather
+ * than guarding them: TSPS record key digests, the service's request
+ * digest and the retry jitter seeds. Its output is persisted and sent
+ * on the wire, so it must never change.
  */
 
 #ifndef TSP_UTIL_CHECKSUM_H
@@ -24,6 +29,16 @@ inline uint32_t
 crc32(std::string_view bytes, uint32_t seed = 0)
 {
     return crc32(bytes.data(), bytes.size(), seed);
+}
+
+/** 64-bit FNV-1a of a byte string. */
+inline uint64_t
+fnv1a(std::string_view bytes)
+{
+    uint64_t hash = 1469598103934665603ull;
+    for (unsigned char c : bytes)
+        hash = (hash ^ c) * 1099511628211ull;
+    return hash;
 }
 
 } // namespace tsp::util

@@ -27,6 +27,7 @@
 #include <thread>
 #include <utility>
 
+#include "util/checksum.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -153,10 +154,8 @@ inline RetryPolicy
 jitteredRetryPolicy(const std::string &identity)
 {
     RetryPolicy policy;
-    // FNV-1a over the identity; never 0 (0 would disable jitter).
-    uint64_t hash = 1469598103934665603ull;
-    for (unsigned char c : identity)
-        hash = (hash ^ c) * 1099511628211ull;
+    // Never 0: a zero seed disables jitter.
+    uint64_t hash = fnv1a(identity);
     policy.jitterSeed = hash ? hash : 1;
     return policy;
 }

@@ -130,7 +130,7 @@ makeLanes(size_t n, uint32_t threads)
         uint32_t procs = procChoices[i % 6];
         SimConfig cfg = laneConfig(procs, threads);
         if (i % 4 == 2)
-            cfg.stallOnUpgrade = true;  // vary the architecture too
+            cfg.memoryLatency = 80;  // vary the architecture too
         PlacementMap map = (i % 2 == 0) ? roundRobin(threads, procs)
                                         : blocked(threads, procs);
         lanes.push_back({cfg, std::move(map)});

@@ -30,7 +30,6 @@ TEST(SimConfig, DefaultsMatchThePaper)
     EXPECT_EQ(cfg.memoryLatency, 50u);
     EXPECT_EQ(cfg.contextSwitchCycles, 6u);
     EXPECT_EQ(cfg.associativity, 1u);
-    EXPECT_FALSE(cfg.stallOnUpgrade);
     EXPECT_FALSE(cfg.profileSharing);
     EXPECT_NO_THROW(cfg.validate());
 }
@@ -108,40 +107,6 @@ base()
     return cfg;
 }
 
-/** t0 reads X, t1 reads X, then t0 writes X (an upgrade). */
-TraceSet
-upgradeScenario()
-{
-    TraceSet ts("upgrade");
-    ThreadTrace t0(0);
-    t0.appendLoad(AddressSpace::sharedWord(0));
-    t0.appendWork(100);
-    t0.appendStore(AddressSpace::sharedWord(0));
-    t0.appendWork(100);
-    ThreadTrace t1(1);
-    t1.appendWork(10);
-    t1.appendLoad(AddressSpace::sharedWord(0));
-    ts.addThread(std::move(t0));
-    ts.addThread(std::move(t1));
-    return ts;
-}
-
-TEST(MachineVariants, StallOnUpgradeCostsLatency)
-{
-    TraceSet ts = upgradeScenario();
-    PlacementMap map(2, {0, 1});
-
-    SimConfig fast = base();
-    uint64_t freeTime = simulate(fast, ts, map).procs[0].finishTime;
-
-    SimConfig stall = base();
-    stall.stallOnUpgrade = true;
-    uint64_t stallTime = simulate(stall, ts, map).procs[0].finishTime;
-
-    // The upgrade now stalls the context for the memory latency.
-    EXPECT_EQ(stallTime, freeTime + stall.memoryLatency);
-}
-
 TEST(MachineVariants, MultiCycleHitsLengthenBusyTime)
 {
     TraceSet ts("hits");
@@ -203,7 +168,7 @@ TEST(MachineVariants, LatencyScalesStallTime)
 TEST(MachineVariants, UpgradeWithoutSharersNeverStalls)
 {
     // Private read-then-write data: MESI Exclusive makes the write
-    // silent even with stallOnUpgrade enabled.
+    // silent.
     TraceSet ts("priv");
     ThreadTrace t0(0);
     t0.appendLoad(AddressSpace::privateWord(0, 0));
@@ -211,7 +176,6 @@ TEST(MachineVariants, UpgradeWithoutSharersNeverStalls)
     ts.addThread(std::move(t0));
     SimConfig cfg = base();
     cfg.processors = 1;
-    cfg.stallOnUpgrade = true;
     auto s = simulate(cfg, ts, PlacementMap(1, {0}));
     EXPECT_EQ(s.totalUpgrades(), 0u);
     EXPECT_EQ(s.procs[0].finishTime, 1u + 50u + 1u);

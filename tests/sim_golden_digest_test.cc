@@ -1,8 +1,10 @@
 /**
  * @file
- * Golden-digest pins for the paper's studies. Each test runs a full
- * study at the figure scale and CRCs its observable outputs (cycle
- * counts, miss-component counts) in row order. The pinned digests were
+ * Golden-digest pins for the paper's studies. Each study test runs a
+ * full study at the figure scale and CRCs its observable outputs (cycle
+ * counts, miss-component counts) in row order; the placement tests CRC
+ * every thread-to-processor assignment the static algorithms produce,
+ * so the clustering engine is pinned on its own. The pinned digests were
  * recorded from the pre-optimization simulator core, so these tests
  * prove the hot-path work (flat hash state, allocation-free
  * transactions, the merged event loop — see docs/performance.md)
@@ -19,10 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/static_analysis.h"
 #include "core/algorithms.h"
 #include "experiment/lab.h"
 #include "experiment/studies.h"
 #include "util/checksum.h"
+#include "util/rng.h"
+#include "workload/generator.h"
 #include "workload/suite.h"
 
 namespace tsp::experiment {
@@ -91,6 +96,80 @@ TEST(GoldenDigest, ExecTimeFFT)
 {
     Lab lab(16);
     EXPECT_EQ(execTimeDigest(lab, workload::AppId::FFT), 0xe080a6c9u);
+}
+
+/**
+ * Every algorithm that places without a simulation: the twelve static
+ * sharing algorithms (six metrics, each with and without +LB), then
+ * LOAD-BAL and RANDOM.
+ */
+std::vector<placement::Algorithm>
+staticAlgorithms()
+{
+    std::vector<placement::Algorithm> algs =
+        placement::staticSharingAlgorithmsWithLB();
+    algs.push_back(placement::Algorithm::LoadBal);
+    algs.push_back(placement::Algorithm::Random);
+    return algs;
+}
+
+/** Feed one placement (its algorithm, width and assignment). */
+void
+feedPlacement(uint32_t &crc, placement::Algorithm alg,
+              const placement::PlacementMap &map)
+{
+    feed64(crc, static_cast<uint64_t>(alg));
+    feed64(crc, map.processors());
+    for (uint32_t proc : map.assignment())
+        feed64(crc, proc);
+}
+
+TEST(GoldenDigest, PlacementsAtEverySweepPoint)
+{
+    // Pins the clustering engine's output directly (the execution-time
+    // digests see placements only through the cycles they cause):
+    // 14 apps x standardSweep x 14 static algorithms = 700 placements.
+    Lab lab(64);
+    uint32_t crc = 0;
+    size_t placements = 0;
+    for (workload::AppId app : workload::allApps()) {
+        const auto threads =
+            static_cast<uint32_t>(lab.analysis(app).threadCount());
+        for (const MachinePoint &point : standardSweep(threads)) {
+            for (placement::Algorithm alg : staticAlgorithms()) {
+                feedPlacement(crc, alg,
+                              lab.placementFor(app, alg,
+                                               point.processors));
+                ++placements;
+            }
+        }
+    }
+    EXPECT_EQ(placements, 700u);
+    EXPECT_EQ(crc, 0xc7c576beu);
+}
+
+TEST(GoldenDigest, PlacementsOf28ThreadsOn11Processors)
+{
+    // 11 does not divide 28, so the thread-balance oracle must mix 2-
+    // and 3-thread clusters.
+    workload::AppProfile p;
+    p.name = "synthetic-28";
+    p.threads = 28;
+    p.meanLength = 20000;
+    p.lengthDevPct = 50.0;
+    p.sharedRefFrac = 0.5;
+    p.refsPerSharedAddr = 20.0;
+    p.globalFrac = 0.7;
+    p.neighborFrac = 0.3;
+    p.seed = 99;
+    const auto an = analysis::StaticAnalysis::analyze(
+        workload::generateTraces(p, 1));
+    uint32_t crc = 0;
+    for (placement::Algorithm alg : staticAlgorithms()) {
+        util::Rng rng(11);
+        feedPlacement(crc, alg, placement::place(alg, an, 11, rng));
+    }
+    EXPECT_EQ(crc, 0x968aa0a8u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared-L2 hierarchy tests: hand-computed fill latencies for
- * inclusive and exclusive (victim) L2s, back-invalidation on L2
- * eviction, the flat-1994 bit-identity contract of the memory-system
- * variants, and the cumulative variant configurations themselves.
+ * Shared-L2 hierarchy tests: hand-computed fill latencies for the
+ * inclusive L2, back-invalidation on L2 eviction, the flat-1994
+ * bit-identity contract of the memory-system variants, and the
+ * cumulative variant configurations themselves.
  */
 
 #include <gtest/gtest.h>
@@ -66,27 +66,6 @@ TEST(Hierarchy, InclusiveL2ServesConflictVictimsFaster)
     EXPECT_EQ(s.l2Hits, 1u);
     EXPECT_EQ(s.executionTime(), 3u + 50u + 50u + 12u);
     EXPECT_EQ(s.procs[0].hits, 0u);
-}
-
-TEST(Hierarchy, ExclusiveL2IsAVictimCache)
-{
-    // Same reference stream, exclusive policy: X enters the L2 only
-    // when its L1 copy is evicted by Y, and leaves on the re-fill.
-    // Identical latencies, so the same 115-cycle run.
-    TraceSet ts("excl");
-    ThreadTrace t0(0);
-    t0.appendLoad(sharedBlockAddr(0));
-    t0.appendLoad(sharedBlockAddr(0) + 1024);
-    t0.appendLoad(sharedBlockAddr(0));
-    ts.addThread(std::move(t0));
-
-    SimConfig cfg = l2Config(1);
-    cfg.l2Inclusive = false;
-    SimStats s = simulate(cfg, ts, PlacementMap(1, {0}));
-    EXPECT_EQ(s.l2Misses, 2u);
-    EXPECT_EQ(s.l2Hits, 1u);
-    EXPECT_EQ(s.executionTime(), 3u + 50u + 50u + 12u);
-    EXPECT_EQ(s.l2BackInvalidations, 0u);  // inclusive-only mechanism
 }
 
 TEST(Hierarchy, L2EvictionBackInvalidatesL1Copies)
@@ -207,7 +186,6 @@ TEST(Hierarchy, VariantsAreCumulative)
 
     SimConfig l2 = variantConfig(MemSystem::SharedL2);
     EXPECT_EQ(l2.l2Bytes, 4 * l2.cacheBytes);
-    EXPECT_TRUE(l2.l2Inclusive);
     EXPECT_EQ(l2.protocol, Protocol::Mesi);
 
     SimConfig moesi = variantConfig(MemSystem::Moesi);

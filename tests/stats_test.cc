@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit tests for the stats module: Summary (the paper's Dev% and
- * absolute-deviation definitions), PairMatrix and Histogram.
+ * absolute-deviation definitions) and PairMatrix.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/histogram.h"
 #include "stats/pair_matrix.h"
 #include "stats/summary.h"
 #include "util/error.h"
@@ -198,62 +197,6 @@ TEST(PairMatrix, SizeZeroAndOneAreEmptyButValid)
     EXPECT_DOUBLE_EQ(z.total(), 0.0);
     EXPECT_DOUBLE_EQ(one.total(), 0.0);
     EXPECT_EQ(one.pairSummary().count(), 0u);
-}
-
-// -------------------------------------------------------------- histogram
-
-TEST(Histogram, CountsFallInRightBuckets)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    h.add(9.9);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClamps)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-100.0);
-    h.add(100.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-}
-
-TEST(Histogram, QuantileInterpolates)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, EmptyQuantileIsLo)
-{
-    Histogram h(5.0, 10.0, 4);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-}
-
-TEST(Histogram, BadConstructionIsFatal)
-{
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), util::FatalError);
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), util::FatalError);
-}
-
-TEST(Histogram, RenderMentionsCounts)
-{
-    Histogram h(0.0, 2.0, 2);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    std::string out = h.render(10);
-    EXPECT_NE(out.find("1"), std::string::npos);
-    EXPECT_NE(out.find("2"), std::string::npos);
 }
 
 } // namespace
