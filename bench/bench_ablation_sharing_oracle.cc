@@ -8,7 +8,7 @@
  *
  * Runs on the 8-thread applications (the oracle is exponential); the
  * (application x processors) cells are independent, so they fan out
- * over the worker pool and the rows print in deterministic order.
+ * over util::parallelFor and the rows print in deterministic order.
  */
 
 #include <cstdio>
@@ -17,11 +17,10 @@
 #include "bench_common.h"
 #include "core/optimal.h"
 #include "experiment/lab.h"
-#include "experiment/parallel.h"
 #include "sim/machine.h"
 #include "util/format.h"
+#include "util/parallel_for.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/suite.h"
 
 namespace {
@@ -48,7 +47,7 @@ main()
 {
     const uint32_t scale = workload::defaultScale();
     experiment::Lab lab(scale);
-    const unsigned jobs = util::ThreadPool::defaultJobs();
+    const unsigned jobs = util::defaultJobs();
 
     std::printf("Ablation: exhaustively optimal sharing capture vs. "
                 "LOAD-BAL (scale 1/%u, %u jobs)\n\n",
@@ -57,8 +56,8 @@ main()
     const std::vector<workload::AppId> apps = {
         workload::AppId::Water, workload::AppId::MP3D,
         workload::AppId::BarnesHut, workload::AppId::Cholesky};
-    experiment::ParallelRunner runner(lab, jobs);
-    runner.warmup(apps);
+    util::parallelFor(jobs, apps.size(),
+                      [&](size_t i) { lab.warmup(apps[i]); });
 
     std::vector<OracleCell> cells;
     for (workload::AppId app : apps) {
@@ -70,8 +69,7 @@ main()
     }
 
     bench::WallTimer timer;
-    util::ThreadPool pool(jobs > 1 ? jobs - 1 : 0);
-    pool.parallelFor(cells.size(), [&](size_t i) {
+    util::parallelFor(jobs, cells.size(), [&](size_t i) {
         OracleCell &cell = cells[i];
         const auto &an = lab.analysis(cell.app);
         cell.totalSharing = an.sharedRefs().total();

@@ -20,7 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "util/format.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "workload/suite.h"
 
 namespace tsp::bench {
@@ -39,7 +39,7 @@ using WallTimer = obs::StopWatch;
  */
 inline void
 printWallClock(const std::string &what, const WallTimer &timer,
-               unsigned jobs = util::ThreadPool::defaultJobs())
+               unsigned jobs = util::defaultJobs())
 {
     double ms = timer.elapsedMs();
     obs::benchWallMillis().observe(ms);
@@ -47,7 +47,7 @@ printWallClock(const std::string &what, const WallTimer &timer,
                 jobs);
 }
 
-/** Print the standard banner: workload scale, app config, pool width. */
+/** Print the standard banner: workload scale, app config, width. */
 inline void
 banner(const std::string &what, experiment::Lab &lab,
        workload::AppId app)
@@ -67,7 +67,7 @@ banner(const std::string &what, experiment::Lab &lab,
                     .c_str());
     std::printf("parallel: %u jobs (TSP_JOBS overrides; results are "
                 "identical at any width)\n\n",
-                util::ThreadPool::defaultJobs());
+                util::defaultJobs());
 }
 
 /**

@@ -23,12 +23,11 @@
 
 #include "bench_common.h"
 #include "experiment/lab.h"
-#include "experiment/parallel.h"
 #include "experiment/studies.h"
 #include "sim/results.h"
 #include "util/format.h"
+#include "util/parallel_for.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/suite.h"
 
 namespace {
@@ -50,15 +49,17 @@ int
 main()
 {
     const uint32_t scale = workload::defaultScale();
-    const unsigned jobs = tsp::util::ThreadPool::defaultJobs();
+    const unsigned jobs = tsp::util::defaultJobs();
     experiment::Lab lab(scale);
     std::vector<Claim> claims;
 
-    // Materialize every app's traces/analysis/probe across the pool
-    // up front; each claim below then fans its runs out as well.
+    // Materialize every app's traces/analysis/probe in parallel up
+    // front; each claim below then fans its runs out as well.
     bench::WallTimer total;
-    experiment::ParallelRunner(lab, jobs)
-        .warmup(workload::allApps(), /*coherence=*/true);
+    const std::vector<AppId> &apps = workload::allApps();
+    util::parallelFor(jobs, apps.size(), [&](size_t i) {
+        lab.warmup(apps[i], /*coherence=*/true);
+    });
     bench::printWallClock("warmup (14 apps)", total, jobs);
 
     // ---- 1 & 2: execution-time ordering on FFT -----------------------

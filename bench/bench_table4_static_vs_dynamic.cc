@@ -29,7 +29,7 @@ main()
     std::printf("Table 4: Static shared references vs. dynamic "
                 "coherence traffic (1 thread/processor, scale 1/%u, "
                 "%u jobs)\n\n",
-                scale, util::ThreadPool::defaultJobs());
+                scale, util::defaultJobs());
 
     // Materialize traces/analyses/probes one app per worker; the row
     // loop below then reads warm caches.

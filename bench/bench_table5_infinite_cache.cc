@@ -31,7 +31,7 @@ main()
     std::printf("Table 5: Execution times normalized to LOAD-BAL with "
                 "an 8 MB cache (no conflict misses), scale 1/%u, "
                 "%u jobs\n\n",
-                scale, util::ThreadPool::defaultJobs());
+                scale, util::defaultJobs());
 
     // The paper's six apps: three coarse, three medium, chosen for
     // least-uniform sharing.

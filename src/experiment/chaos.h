@@ -55,7 +55,7 @@ struct Options
     /** Workload scale divisor; large = tiny traces = fast matrix. */
     uint32_t scale = 64;
 
-    /** Sweep pool width (2 = one worker + the caller). */
+    /** Sweep width (2 = one started thread + the caller). */
     unsigned jobs = 2;
 
     /** Application the scenario sweeps. */

@@ -114,9 +114,9 @@ class Lab
     /**
      * Pre-materialize the cached artifacts of @p app (traces and
      * analysis; the coherence probe too when @p coherence). Purely an
-     * optimization — the lazy path computes the same values — used by
-     * ParallelRunner to overlap per-app materialization across a pool
-     * before a fan-out.
+     * optimization — the lazy path computes the same values — called
+     * from util::parallelFor to overlap per-app materialization before
+     * a fan-out.
      */
     void warmup(workload::AppId app, bool coherence = false);
 

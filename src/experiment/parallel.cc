@@ -119,7 +119,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             options_.onCell(i, unique[u], wallMs);
     };
 
-    // Replay journaled cells; only the rest hit the pool.
+    // Replay journaled cells; only the rest are simulated.
     std::vector<size_t> pending;
     pending.reserve(uniqueJobs.size());
     for (size_t u = 0; u < uniqueJobs.size(); ++u) {
@@ -142,7 +142,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
 
     // PanicError means a library bug: fail the sweep fast. The flag
     // short-circuits iterations that have not started yet; the first
-    // panic (by pool schedule) is rethrown after the pool drains.
+    // panic (by schedule) is rethrown after every thread joins.
     std::atomic<bool> panicked{false};
     std::exception_ptr panic;
     std::mutex panicMutex;
@@ -355,9 +355,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             settle(prep.u, unique[prep.u].ok() ? perLane : 0.0);
     };
 
-    util::ThreadPool pool(
-        options_.jobs > 1 ? options_.jobs - 1 : 0);
-    pool.parallelFor(groups.size(), [&](size_t g) {
+    util::parallelFor(options_.jobs, groups.size(), [&](size_t g) {
         if (panicked.load(std::memory_order_relaxed))
             return;
         runBatch(groups[g]);
@@ -402,17 +400,6 @@ ParallelRunner::runAll(const std::vector<RunJob> &jobs)
         out[i] = std::move(outcomes[i].value());
     }
     return out;
-}
-
-void
-ParallelRunner::warmup(const std::vector<workload::AppId> &apps,
-                       bool coherence)
-{
-    util::ThreadPool pool(
-        options_.jobs > 1 ? options_.jobs - 1 : 0);
-    pool.parallelFor(apps.size(), [&](size_t i) {
-        lab_.warmup(apps[i], coherence);
-    });
 }
 
 } // namespace tsp::experiment

@@ -2,13 +2,13 @@
  * @file
  * The parallel experiment engine: fans the cross-product of
  * (application x placement algorithm x machine point) simulation jobs
- * across a util::ThreadPool and reassembles the results in
+ * across util::parallelFor and reassembles the results in
  * deterministic input order.
  *
  * Determinism guarantee: every job is independent (Lab seeds each run
  * from (app, algorithm, processors) alone, and the shared caches are
  * read-only once materialized), so results are bit-identical to the
- * serial path for any pool width — ordering is the only hazard, and
+ * serial path for any width — ordering is the only hazard, and
  * runAll() removes it by indexing results by input position.
  *
  * Robustness guarantees (runAllOutcomes):
@@ -39,7 +39,7 @@
 #include "experiment/lab.h"
 #include "experiment/outcome.h"
 #include "util/cancel.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace tsp::experiment {
 
@@ -92,8 +92,8 @@ struct SweepStats
 /** Tuning and robustness knobs of a sweep. */
 struct SweepOptions
 {
-    /** Pool width; 1 (or 0) = serial on the calling thread. */
-    unsigned jobs = util::ThreadPool::defaultJobs();
+    /** Fork-join width; 1 (or 0) = serial on the calling thread. */
+    unsigned jobs = util::defaultJobs();
 
     /**
      * Lanes per batched lockstep simulation (sim::BatchMachine).
@@ -141,7 +141,7 @@ struct SweepOptions
      * duplicate job gets its first occurrence's outcome and time, in
      * the same settlement. @p wallMs is the cell's simulation wall
      * time; replayed, failed and cancelled cells report 0.0. Calls
-     * never overlap but may come from any pool thread, in settlement
+     * never overlap but may come from any sweep thread, in settlement
      * order rather than input order; a PanicError leaves the
      * remaining cells unsettled. Must not throw. It cannot change a
      * result, but tripping `cancel` from it skips every cell not yet
@@ -160,20 +160,20 @@ struct SweepOptions
 };
 
 /**
- * Fans independent Lab::run jobs over a fixed-width worker pool.
- * `jobs == 1` (or 0) executes inline on the calling thread — the
- * serial path — which the determinism tests diff against wide runs.
+ * Fans independent Lab::run jobs over util::parallelFor at a fixed
+ * width. `jobs == 1` (or 0) executes inline on the calling thread —
+ * the serial path — which the determinism tests diff against wide
+ * runs.
  */
 class ParallelRunner
 {
   public:
-    explicit ParallelRunner(
-        Lab &lab, unsigned jobs = util::ThreadPool::defaultJobs());
+    explicit ParallelRunner(Lab &lab, unsigned jobs = util::defaultJobs());
 
     /** Configure from a SweepOptions (checkpoint, deadline, hooks). */
     ParallelRunner(Lab &lab, const SweepOptions &options);
 
-    /** Effective pool width (>= 1). */
+    /** Effective fork-join width (>= 1). */
     unsigned jobs() const { return options_.jobs; }
 
     /**
@@ -198,14 +198,6 @@ class ParallelRunner
 
     /** Counters of the most recent runAll/runAllOutcomes call. */
     const SweepStats &lastSweepStats() const { return stats_; }
-
-    /**
-     * Pre-materialize the per-app caches (traces, analysis, and the
-     * coherence probe when @p coherence) for all @p apps, one app per
-     * worker. Concurrent-safe and idempotent.
-     */
-    void warmup(const std::vector<workload::AppId> &apps,
-                bool coherence = false);
 
   private:
     Lab &lab_;

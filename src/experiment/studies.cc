@@ -50,7 +50,7 @@ runFanout(Lab &lab, const std::vector<RunJob> &fanout,
  * every memory system in @p systems, normalized to RANDOM under the
  * same system at the same point.
  *
- * Job layout (it fixes the pool schedule and the journal's append
+ * Job layout (it fixes the fan-out schedule and the journal's append
  * order): per (system, point), the RANDOM baseline, then every
  * non-RANDOM algorithm. RANDOM rows reuse the baseline.
  */
@@ -174,9 +174,11 @@ std::vector<Table4Row>
 table4Study(Lab &lab, const std::vector<AppId> &apps, unsigned jobs)
 {
     // The row math is trivial; the traces + analysis + coherence
-    // probe behind it are not. Materialize those one app per worker,
+    // probe behind it are not. Materialize those one app per thread,
     // then fold the rows serially in input order.
-    ParallelRunner(lab, jobs).warmup(apps, /*coherence=*/true);
+    util::parallelFor(jobs, apps.size(), [&](size_t i) {
+        lab.warmup(apps[i], /*coherence=*/true);
+    });
     std::vector<Table4Row> rows;
     rows.reserve(apps.size());
     for (AppId app : apps)

@@ -4,7 +4,7 @@
  * one evaluation artifact of the paper and returns plain data; the
  * bench binaries render it. See DESIGN.md's experiment index.
  *
- * Every sweep driver takes a SweepOptions: the pool width `jobs`
+ * Every sweep driver takes a SweepOptions: the fork-join width `jobs`
  * (default: TSP_JOBS or the hardware concurrency; results are
  * bit-identical to `jobs == 1`) and the robustness knobs — a
  * Checkpoint to journal/replay cells, a failures sink that turns
@@ -25,7 +25,7 @@
 #include "core/algorithms.h"
 #include "experiment/lab.h"
 #include "experiment/parallel.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace tsp::experiment {
 
@@ -140,12 +140,12 @@ Table4Row table4Row(Lab &lab, workload::AppId app);
 
 /**
  * Table 4 rows for all of @p apps. The heavy per-app artifacts
- * (traces, analysis, coherence probe) materialize one app per worker;
+ * (traces, analysis, coherence probe) materialize one app per thread;
  * rows come back in @p apps order and match serial table4Row calls.
  */
 std::vector<Table4Row> table4Study(
     Lab &lab, const std::vector<workload::AppId> &apps,
-    unsigned jobs = util::ThreadPool::defaultJobs());
+    unsigned jobs = util::defaultJobs());
 
 // ----------------------------------------------------------------- Table 5
 

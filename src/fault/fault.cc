@@ -113,7 +113,7 @@ Site::hit()
     // armKind_ writes that preceded it visible to this thread.
     if (!siteArmed_.load(std::memory_order_acquire))
         return;
-    // The ordinal is a single atomic increment, so even when pool
+    // The ordinal is a single atomic increment, so even when many
     // threads race through the site, exactly one of them observes the
     // armed ordinal (and with "nth+", every hit from it on fires).
     uint64_t ordinal = armHits_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -162,8 +162,8 @@ Registry::catalog()
          "taking the result store's file lock fails"},
         {"lab.memo_init", "experiment::Lab",
          "materializing an application's traces fails"},
-        {"pool.dispatch", "util::ThreadPool",
-         "a pooled task fails at dispatch, before user code runs"},
+        {"pool.dispatch", "util::parallelFor",
+         "starting a fork-join worker thread fails"},
         {"report.write", "experiment::CsvWriter",
          "appending a row to a report CSV fails"},
         {"sim.step", "sim::Machine",

@@ -39,16 +39,11 @@ millisBounds()
     }
 
 TSP_OBS_COUNTER(poolTasksExecuted, "pool.tasks_executed",
-                "util::ThreadPool",
-                "tasks run to completion (pooled or inline)")
-TSP_OBS_GAUGE(poolQueueDepth, "pool.queue_depth", "util::ThreadPool",
-              "tasks enqueued but not yet started (max = high water)")
+                "util::parallelFor",
+                "shards run to completion on started threads")
 TSP_OBS_COUNTER(poolWorkerBusyMicros, "pool.worker_busy_us",
-                "util::ThreadPool",
-                "cumulative worker time spent executing tasks")
-TSP_OBS_COUNTER(poolWorkerIdleMicros, "pool.worker_idle_us",
-                "util::ThreadPool",
-                "cumulative worker time spent waiting for work")
+                "util::parallelFor",
+                "cumulative started-thread time spent running shards")
 
 TSP_OBS_COUNTER(watchdogDeadlineFires, "watchdog.deadline_fires",
                 "util::Watchdog",
@@ -211,9 +206,7 @@ allMetrics()
 {
     // Touch every accessor so the registry holds the full catalog.
     poolTasksExecuted();
-    poolQueueDepth();
     poolWorkerBusyMicros();
-    poolWorkerIdleMicros();
     watchdogDeadlineFires();
     labTraceMemoHits();
     labTraceMemoMisses();

@@ -23,11 +23,9 @@
 
 namespace tsp::obs {
 
-// ------------------------------------------------- util::ThreadPool
-Counter &poolTasksExecuted();     //!< tasks run (pooled or inline)
-Gauge &poolQueueDepth();          //!< tasks queued, not yet started
-Counter &poolWorkerBusyMicros();  //!< worker time executing tasks
-Counter &poolWorkerIdleMicros();  //!< worker time waiting for work
+// ------------------------------------------------ util::parallelFor
+Counter &poolTasksExecuted();     //!< shards run on started threads
+Counter &poolWorkerBusyMicros();  //!< started-thread time in shards
 
 // ---------------------------------------------------- util::Watchdog
 Counter &watchdogDeadlineFires(); //!< jobs flagged past their deadline

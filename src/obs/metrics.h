@@ -191,7 +191,7 @@ struct MetricInfo
 {
     std::string name;   //!< dotted lowercase, e.g. "pool.tasks_executed"
     std::string kind;   //!< "counter", "gauge" or "histogram"
-    std::string owner;  //!< owning layer, e.g. "util::ThreadPool"
+    std::string owner;  //!< owning layer, e.g. "experiment::Lab"
     std::string help;   //!< one-line description
 };
 

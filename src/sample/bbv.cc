@@ -4,22 +4,11 @@
 #include <limits>
 
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tsp::sample {
 
 namespace {
-
-/** splitmix64 finalizer: spreads sequential block ids over buckets. */
-uint64_t
-mixBlock(uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
 
 double
 sqDistance(const std::vector<double> &a, const std::vector<double> &b)
@@ -73,7 +62,7 @@ bbvProfile(trace::StreamFactory &factory, uint64_t windowRefs,
                     counts.resize(w + 1,
                                   std::vector<uint64_t>(dims, 0));
                 uint64_t block = e.address() >> blockShift;
-                ++counts[w][mixBlock(block) % dims];
+                ++counts[w][util::mix64(block) % dims];
                 ++refs;
             }
         }

@@ -149,8 +149,7 @@ Daemon::submit(StudyRequest request)
                          ? arrival + deadline
                          : Clock::time_point::max();
 
-    SubmitResult result;
-    result.accepted = pending.promise.get_future();
+    std::future<StudyResponse> accepted = pending.promise.get_future();
 
     // The Queued heartbeat fires outside the daemon lock (a slow
     // observer — a congested socket, say — cannot stall admission)
@@ -177,6 +176,8 @@ Daemon::submit(StudyRequest request)
     obs::svcAdmitted().inc();
     obs::svcQueueDepth().add(1);
     workCv_.notify_one();
+    SubmitResult result;
+    result.accepted = std::move(accepted);
     return result;
 }
 

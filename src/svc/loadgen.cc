@@ -11,22 +11,14 @@
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
+#include "util/rng.h"
 
 namespace tsp::svc {
 
 using experiment::RunJob;
 
 namespace {
-
-/** splitmix64: the repo's standard cheap deterministic stream. */
-uint64_t
-nextRandom(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** Sorted-latency percentile (nearest-rank). */
 double
@@ -125,7 +117,9 @@ runLoadGen(Daemon &daemon, const LoadGenOptions &options)
     unsigned clients = std::max(1u, options.clients);
     std::vector<ClientTally> tallies(clients);
 
-    auto runClient = [&](unsigned client) {
+    // Width = clients, so every client runs its closed loop at once.
+    util::parallelFor(clients, clients, [&](size_t index) {
+        const unsigned client = static_cast<unsigned>(index);
         ClientTally &tally = tallies[client];
         uint64_t rng =
             options.seed * 0x9e3779b97f4a7c15ull + client + 1;
@@ -153,10 +147,10 @@ runLoadGen(Daemon &daemon, const LoadGenOptions &options)
             }
             StudyRequest request;
             request.deadline = options.deadline;
-            request.priority = static_cast<int>(nextRandom(rng) % 3);
+            request.priority = static_cast<int>(util::splitmix64(rng) % 3);
             for (unsigned j = 0; j < options.jobsPerRequest; ++j) {
                 request.jobs.push_back(
-                    options.palette[nextRandom(rng) %
+                    options.palette[util::splitmix64(rng) %
                                     options.palette.size()]);
             }
 
@@ -239,14 +233,7 @@ runLoadGen(Daemon &daemon, const LoadGenOptions &options)
             line << '\n';
             tally.digestLines += line.str();
         }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (unsigned c = 0; c < clients; ++c)
-        threads.emplace_back(runClient, c);
-    for (std::thread &t : threads)
-        t.join();
+    });
 
     LoadGenReport report;
     std::string digestText;

@@ -62,7 +62,7 @@ struct LoadGenOptions
 
     /**
      * When serverPort != 0, clients submit over the wire to
-     * serverHost:serverPort (one svc::Client per load thread)
+     * serverHost:serverPort (each client with its own svc::Client)
      * instead of calling Daemon::submit directly. The daemon
      * argument is then only the degradation target. Socket and
      * in-process runs over the same options produce the same

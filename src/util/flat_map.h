@@ -33,21 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace tsp::util {
 
 /** Default FlatMap hash: splitmix64 finalizer over the key's bits. */
 struct FlatHash
 {
-    uint64_t
-    operator()(uint64_t x) const
-    {
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebull;
-        x ^= x >> 31;
-        return x;
-    }
+    uint64_t operator()(uint64_t x) const { return mix64(x); }
 };
 
 /**

@@ -1,17 +1,16 @@
 /**
  * @file
- * Bounded retry with capped exponential backoff, for transient
- * filesystem failures on the robustness paths (checkpoint journal
- * appends, trace file IO). Deliberately small: a policy struct, a
- * backoff schedule, and one function template.
+ * Bounded retry with capped backoff, for transient failures on the
+ * robustness paths (result store appends, trace file IO, the wire
+ * client and the load generator). Deliberately small: a policy
+ * struct, a backoff schedule, and one function template.
  *
- * With a non-zero jitterSeed the schedule applies *decorrelated
- * jitter* (each delay drawn uniformly from [initialBackoff,
- * 3 x previous delay], capped), so pool threads that hit the same
- * transient filesystem failure do not retry in lockstep and re-collide
- * on every attempt. The jitter RNG is seeded from the policy alone —
- * the delay sequence is a pure function of the seed, so tests stay
- * exactly reproducible.
+ * The schedule applies *decorrelated jitter* (each delay drawn
+ * uniformly from [initialBackoff, 3 x previous delay], capped), so
+ * threads that hit the same transient failure do not retry in
+ * lockstep and re-collide on every attempt. The jitter RNG is seeded
+ * from the policy alone — the delay sequence is a pure function of
+ * the seed, so tests stay exactly reproducible.
  *
  * PanicError is never retried — an internal invariant violation will
  * not heal by waiting — and the last attempt's exception propagates
@@ -30,6 +29,7 @@
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace tsp::util {
 
@@ -42,28 +42,23 @@ struct RetryPolicy
     /** Delay before the second attempt. */
     std::chrono::milliseconds initialBackoff{10};
 
-    /** Backoff growth factor between attempts (jitter off). */
-    double multiplier = 2.0;
-
     /** Backoff ceiling. */
     std::chrono::milliseconds maxBackoff{1000};
 
     /**
-     * Seed of the deterministic decorrelated jitter; 0 disables
-     * jitter (plain capped exponential backoff). Call sites that can
-     * retry concurrently (one pool thread per app/cell) should derive
-     * the seed from their identity — e.g. a hash of the target path —
-     * so contending threads spread out instead of thundering back in
-     * step.
+     * Seed of the deterministic decorrelated jitter. Call sites that
+     * can retry concurrently (one thread per app/cell) should derive
+     * the seed from their identity — jitteredRetryPolicy hashes the
+     * target path — so contending threads spread out instead of
+     * thundering back in step.
      */
     uint64_t jitterSeed = 0;
 };
 
 /**
- * The delay sequence retry() sleeps between attempts: capped
- * exponential when the policy's jitterSeed is 0, decorrelated jitter
- * otherwise. Exposed as its own class so tests can pin determinism
- * and bounds without timing real sleeps.
+ * The delay sequence retry() sleeps between attempts. Exposed as its
+ * own class so tests can pin determinism and bounds without timing
+ * real sleeps.
  */
 class BackoffSchedule
 {
@@ -78,22 +73,13 @@ class BackoffSchedule
     next()
     {
         std::chrono::milliseconds current = backoff_;
-        if (policy_.jitterSeed == 0) {
-            auto grown = std::chrono::milliseconds(
-                static_cast<long long>(
-                    static_cast<double>(backoff_.count()) *
-                    policy_.multiplier));
-            backoff_ = std::min(grown, policy_.maxBackoff);
-            return current;
-        }
         // Decorrelated jitter: next in [initial, 3 x previous], capped.
-        // splitmix64 is deterministic per seed and cheap.
         long long lo = policy_.initialBackoff.count();
         long long hi =
             std::max<long long>(lo, 3 * current.count());
         long long span = hi - lo + 1;
         long long drawn =
-            lo + static_cast<long long>(nextRandom() %
+            lo + static_cast<long long>(splitmix64(state_) %
                                         static_cast<uint64_t>(span));
         backoff_ = std::min(std::chrono::milliseconds(drawn),
                             policy_.maxBackoff);
@@ -101,16 +87,6 @@ class BackoffSchedule
     }
 
   private:
-    uint64_t
-    nextRandom()
-    {
-        // splitmix64 (public-domain constants).
-        uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
     RetryPolicy policy_;
     uint64_t state_;
     std::chrono::milliseconds backoff_;
@@ -154,9 +130,7 @@ inline RetryPolicy
 jitteredRetryPolicy(const std::string &identity)
 {
     RetryPolicy policy;
-    // Never 0: a zero seed disables jitter.
-    uint64_t hash = fnv1a(identity);
-    policy.jitterSeed = hash ? hash : 1;
+    policy.jitterSeed = fnv1a(identity);
     return policy;
 }
 

@@ -6,15 +6,6 @@
 
 namespace tsp::util {
 
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
 namespace {
 
 inline uint64_t

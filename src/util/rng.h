@@ -19,8 +19,28 @@
 
 namespace tsp::util {
 
-/** SplitMix64 step; used to expand a single seed into generator state. */
-uint64_t splitmix64(uint64_t &state);
+/**
+ * The SplitMix64 finalizer: a bijective mix that spreads sequential
+ * keys uniformly over 64 bits (FlatMap hashing, BBV buckets).
+ */
+constexpr uint64_t
+mix64(uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * SplitMix64 step: advance @p state and return the next value of the
+ * stream. Expands a seed into generator state, and is the cheap
+ * deterministic stream of the retry jitter and the load generator.
+ */
+constexpr uint64_t
+splitmix64(uint64_t &state)
+{
+    return mix64(state += 0x9e3779b97f4a7c15ull);
+}
 
 /**
  * xoshiro256** pseudo-random generator with convenience distributions.

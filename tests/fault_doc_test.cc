@@ -10,13 +10,13 @@
  *   | `store.append` | `experiment::Checkpoint` | ... |
  */
 
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "doc_table.h"
 #include "fault/fault.h"
 
 #ifndef TSP_SOURCE_DIR
@@ -33,62 +33,21 @@ struct DocRow
     std::string help;
 };
 
-/** Split a markdown table line into trimmed cells. */
-std::vector<std::string>
-splitRow(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    // Skip the leading '|', split on the rest.
-    for (size_t i = 1; i < line.size(); ++i) {
-        if (line[i] == '|') {
-            cells.push_back(cell);
-            cell.clear();
-        } else {
-            cell.push_back(line[i]);
-        }
-    }
-    for (std::string &c : cells) {
-        size_t b = c.find_first_not_of(" \t");
-        size_t e = c.find_last_not_of(" \t");
-        c = (b == std::string::npos) ? "" : c.substr(b, e - b + 1);
-    }
-    return cells;
-}
-
-/** Strip surrounding backticks. */
-std::string
-stripCode(const std::string &s)
-{
-    if (s.size() >= 2 && s.front() == '`' && s.back() == '`')
-        return s.substr(1, s.size() - 2);
-    return s;
-}
-
 /** Parse every `| \`site.name\` | \`owner\` | help |` row. */
 std::map<std::string, DocRow>
 parseDocTable(const std::string &path)
 {
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << "cannot open " << path;
+    // Only fault-site rows (their owner column is a code-formatted
+    // C++ scope); other tables in the doc don't match.
+    auto isSiteRow = [](const std::vector<std::string> &cells) {
+        return cells.size() >= 3 &&
+               doc_table::stripCode(cells[1]).find("::") !=
+                   std::string::npos;
+    };
     std::map<std::string, DocRow> rows;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.rfind("| `", 0) != 0)
-            continue;
-        auto cells = splitRow(line);
-        if (cells.size() < 3)
-            continue;
-        std::string owner = stripCode(cells[1]);
-        // Only fault-site rows (their owner column is a code-formatted
-        // C++ scope); other tables in the doc don't match.
-        if (owner.find("::") == std::string::npos)
-            continue;
-        std::string name = stripCode(cells[0]);
-        EXPECT_EQ(rows.count(name), 0u)
-            << "duplicate doc row for " << name;
-        rows[name] = {owner, cells[2]};
-    }
+    for (const auto &[name, cells] :
+         doc_table::parseDocTable(path, isSiteRow))
+        rows[name] = {doc_table::stripCode(cells[1]), cells[2]};
     return rows;
 }
 

@@ -23,7 +23,7 @@
 #include "experiment/lab.h"
 #include "fault/fault.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 using namespace tsp;
 
@@ -332,18 +332,16 @@ TEST(FaultInjection, DisarmedFaultPointsAllocateNothing)
 TEST(FaultInjection, PoolDispatchFaultJoinsAllShardsBeforeThrowing)
 {
     DisarmedScope scope;
-    util::ThreadPool pool(4);
-    // One-shot dispatch fault with >= 2 shards: exactly one shard
-    // future throws while the others keep iterating against
+    // One-shot dispatch fault with >= 2 threads to start: exactly one
+    // thread fails to start while the others keep iterating against
     // parallelFor's stack-local shard state. Regression for
-    // rethrowing from the first failed future before joining the
-    // rest, which unwound that state under the running shards
-    // (use-after-scope).
+    // rethrowing before every started thread has joined, which would
+    // unwind that state under the running shards (use-after-scope).
     fault::arm("pool.dispatch:1:error");
     constexpr size_t n = 64;
     std::vector<std::atomic<int>> hits(n);
     try {
-        pool.parallelFor(n, [&](size_t i) {
+        util::parallelFor(5, n, [&](size_t i) {
             hits[i]++;
             std::this_thread::sleep_for(std::chrono::microseconds(50));
         });
@@ -357,6 +355,24 @@ TEST(FaultInjection, PoolDispatchFaultJoinsAllShardsBeforeThrowing)
     // every index exactly once before the fault propagated.
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(FaultInjection, PoolDispatchFaultYieldsToIterationErrors)
+{
+    DisarmedScope scope;
+    // A thread that fails to start and an iteration that throws: the
+    // iteration's error is the one the caller sees.
+    fault::arm("pool.dispatch:1:error");
+    try {
+        util::parallelFor(5, 64, [&](size_t i) {
+            if (i == 9)
+                throw std::runtime_error("iteration 9");
+        });
+        FAIL() << "expected the iteration's exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "iteration 9");
+    }
+    fault::disarm();
 }
 
 // ------------------------------------- end-to-end determinism pins

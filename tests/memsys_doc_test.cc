@@ -11,13 +11,13 @@
  *   | `l2Bytes` | `0` | 0 (no L2) or a power of two ... | ... |
  */
 
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "doc_table.h"
 #include "sim/config.h"
 
 #ifndef TSP_SOURCE_DIR
@@ -34,44 +34,6 @@ struct DocKnob
     std::string range;
 };
 
-/** Split a markdown table line into trimmed cells. */
-std::vector<std::string>
-splitRow(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    for (size_t i = 1; i < line.size(); ++i) {
-        if (line[i] == '|') {
-            cells.push_back(cell);
-            cell.clear();
-        } else {
-            cell.push_back(line[i]);
-        }
-    }
-    for (std::string &c : cells) {
-        size_t b = c.find_first_not_of(" \t");
-        size_t e = c.find_last_not_of(" \t");
-        c = (b == std::string::npos) ? "" : c.substr(b, e - b + 1);
-    }
-    return cells;
-}
-
-/** Whether @p s is backtick-wrapped code. */
-bool
-isCode(const std::string &s)
-{
-    return s.size() >= 2 && s.front() == '`' && s.back() == '`';
-}
-
-/** Strip surrounding backticks. */
-std::string
-stripCode(const std::string &s)
-{
-    if (isCode(s))
-        return s.substr(1, s.size() - 2);
-    return s;
-}
-
 /**
  * Parse every `| \`knob\` | \`default\` | range | ... |` row. The
  * doc's other tables (the memory-system variants) have a backticked
@@ -81,21 +43,14 @@ stripCode(const std::string &s)
 std::map<std::string, DocKnob>
 parseDocTable(const std::string &path)
 {
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << "cannot open " << path;
+    auto isKnobRow = [](const std::vector<std::string> &cells) {
+        return cells.size() >= 4 && doc_table::isCode(cells[0]) &&
+               doc_table::isCode(cells[1]);
+    };
     std::map<std::string, DocKnob> rows;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.rfind("| `", 0) != 0)
-            continue;
-        auto cells = splitRow(line);
-        if (cells.size() < 4 || !isCode(cells[0]) || !isCode(cells[1]))
-            continue;
-        std::string name = stripCode(cells[0]);
-        EXPECT_EQ(rows.count(name), 0u)
-            << "duplicate doc row for " << name;
-        rows[name] = {stripCode(cells[1]), cells[2]};
-    }
+    for (const auto &[name, cells] :
+         doc_table::parseDocTable(path, isKnobRow))
+        rows[name] = {doc_table::stripCode(cells[1]), cells[2]};
     return rows;
 }
 

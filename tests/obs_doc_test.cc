@@ -6,17 +6,16 @@
  * without its doc row — or leaving a stale row behind — fails here.
  *
  * The table rows look like:
- *   | `pool.tasks_executed` | counter | `util::ThreadPool` | ... |
+ *   | `pool.tasks_executed` | counter | `util::parallelFor` | ... |
  */
 
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "doc_table.h"
 #include "obs/metric_defs.h"
 
 #ifndef TSP_SOURCE_DIR
@@ -33,62 +32,21 @@ struct DocRow
     std::string owner;
 };
 
-/** Split a markdown table line into trimmed cells. */
-std::vector<std::string>
-splitRow(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    // Skip the leading '|', split on the rest.
-    for (size_t i = 1; i < line.size(); ++i) {
-        if (line[i] == '|') {
-            cells.push_back(cell);
-            cell.clear();
-        } else {
-            cell.push_back(line[i]);
-        }
-    }
-    for (std::string &c : cells) {
-        size_t b = c.find_first_not_of(" \t");
-        size_t e = c.find_last_not_of(" \t");
-        c = (b == std::string::npos) ? "" : c.substr(b, e - b + 1);
-    }
-    return cells;
-}
-
-/** Strip surrounding backticks. */
-std::string
-stripCode(const std::string &s)
-{
-    if (s.size() >= 2 && s.front() == '`' && s.back() == '`')
-        return s.substr(1, s.size() - 2);
-    return s;
-}
-
 /** Parse every `| \`metric.name\` | kind | owner | ... |` row. */
 std::map<std::string, DocRow>
 parseDocTable(const std::string &path)
 {
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << "cannot open " << path;
+    // Only metric rows (dotted lowercase names with a known kind);
+    // other tables in the doc (env vars, event fields) don't match.
+    auto isMetricRow = [](const std::vector<std::string> &cells) {
+        return cells.size() >= 4 &&
+               (cells[1] == "counter" || cells[1] == "gauge" ||
+                cells[1] == "histogram");
+    };
     std::map<std::string, DocRow> rows;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.rfind("| `", 0) != 0)
-            continue;
-        auto cells = splitRow(line);
-        if (cells.size() < 4)
-            continue;
-        std::string name = stripCode(cells[0]);
-        std::string kind = cells[1];
-        // Only metric rows (dotted lowercase names with a known kind);
-        // other tables in the doc (env vars, event fields) don't match.
-        if (kind != "counter" && kind != "gauge" && kind != "histogram")
-            continue;
-        EXPECT_EQ(rows.count(name), 0u)
-            << "duplicate doc row for " << name;
-        rows[name] = {kind, stripCode(cells[2])};
-    }
+    for (const auto &[name, cells] :
+         doc_table::parseDocTable(path, isMetricRow))
+        rows[name] = {cells[1], doc_table::stripCode(cells[2])};
     return rows;
 }
 

@@ -16,7 +16,7 @@
 #include "obs/metric_defs.h"
 #include "obs/metrics.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 using namespace tsp;
 
@@ -99,8 +99,7 @@ TEST(ObsMetrics, CountersAreExactUnderConcurrentIncrements)
 
     constexpr size_t kTasks = 64;
     constexpr int kIncrementsPerTask = 10000;
-    util::ThreadPool pool(8);
-    pool.parallelFor(kTasks, [&](size_t) {
+    util::parallelFor(9, kTasks, [&](size_t) {
         for (int i = 0; i < kIncrementsPerTask; ++i)
             c.inc();
     });
@@ -118,8 +117,7 @@ TEST(ObsMetrics, HistogramObservationsAreExactUnderConcurrency)
 
     constexpr size_t kTasks = 32;
     constexpr int kObservationsPerTask = 1000;
-    util::ThreadPool pool(8);
-    pool.parallelFor(kTasks, [&](size_t) {
+    util::parallelFor(9, kTasks, [&](size_t) {
         for (int i = 0; i < kObservationsPerTask; ++i)
             h.observe(0.5);
     });
@@ -172,7 +170,7 @@ TEST(ObsMetrics, DisabledPathAllocatesNothingAndRecordsNothing)
     // Materialize the handles first: registration allocates, steady
     // state must not.
     obs::Counter &c = obs::simRuns();
-    obs::Gauge &g = obs::poolQueueDepth();
+    obs::Gauge &g = obs::svcQueueDepth();
     obs::Histogram &h = obs::sweepCellMillis();
 
     MetricsEnabledScope off(false);
@@ -307,7 +305,7 @@ TEST(ObsMetrics, CatalogRegistersEveryDocumentedAccessor)
         if (info.name.rfind("test.", 0) != 0)
             ++catalog;
     }
-    EXPECT_EQ(catalog, 58u)
+    EXPECT_EQ(catalog, 56u)
         << "metric added or removed: update obs/metric_defs.h, "
            "docs/observability.md and this count together";
 }

@@ -16,7 +16,7 @@
 
 #include "obs/json.h"
 #include "obs/trace_sink.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 using namespace tsp;
 
@@ -45,8 +45,7 @@ TEST(ObsTrace, MultiThreadedSessionIsValidChromeTrace)
     {
         obs::TraceSink sink(path, "obs_trace_test");
         obs::TraceSink::installGlobal(&sink);
-        util::ThreadPool pool(4);
-        pool.parallelFor(kEvents, [&](size_t i) {
+        util::parallelFor(5, kEvents, [&](size_t i) {
             obs::TraceSink *global = obs::TraceSink::global();
             ASSERT_NE(global, nullptr);
             global->complete(

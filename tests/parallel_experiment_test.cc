@@ -26,7 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace tsp::experiment {
 namespace {
@@ -121,7 +121,7 @@ TEST(ParallelRunner, OnCellSettlesEveryInputOnce)
 {
     // One executed cell with a duplicate, one replayed cell with a
     // duplicate, one failed cell and one more executed cell: alone,
-    // across the pool, and as lockstep lanes.
+    // forked wide, and as lockstep lanes.
     const RunJob ran{AppId::Water, Algorithm::LoadBal, {4, 2}, false};
     const RunJob replayed{AppId::Water, Algorithm::Random, {2, 4}, false};
     const RunJob poisoned{AppId::Water, Algorithm::ShareRefs, {4, 2},
@@ -195,9 +195,11 @@ TEST(ParallelRunner, ZeroJobsClampsToSerial)
 TEST(ParallelRunner, WarmupMatchesLazyMaterialization)
 {
     Lab warm(kScale), lazy(kScale);
-    ParallelRunner(warm, wideJobs())
-        .warmup({AppId::Water, AppId::BarnesHut}, /*coherence=*/true);
-    for (AppId app : {AppId::Water, AppId::BarnesHut}) {
+    const std::vector<AppId> apps = {AppId::Water, AppId::BarnesHut};
+    util::parallelFor(wideJobs(), apps.size(), [&](size_t i) {
+        warm.warmup(apps[i], /*coherence=*/true);
+    });
+    for (AppId app : apps) {
         EXPECT_EQ(warm.analysis(app).totalRefs(),
                   lazy.analysis(app).totalRefs());
         EXPECT_EQ(warm.coherenceMatrix(app).total(),
@@ -213,8 +215,7 @@ TEST(LabConcurrency, ConcurrentCallersShareOneCachedInstance)
     constexpr size_t n = 16;
     std::vector<const trace::TraceSet *> traces(n, nullptr);
     std::vector<const analysis::StaticAnalysis *> analyses(n, nullptr);
-    util::ThreadPool pool(4);
-    pool.parallelFor(n, [&](size_t i) {
+    util::parallelFor(5, n, [&](size_t i) {
         traces[i] = &lab.traces(AppId::Water);
         analyses[i] = &lab.analysis(AppId::Water);
     });
@@ -229,9 +230,8 @@ TEST(LabConcurrency, DifferentAppsMaterializeConcurrently)
     Lab lab(kScale);
     const std::vector<AppId> apps = {AppId::Water, AppId::BarnesHut,
                                      AppId::MP3D, AppId::Cholesky};
-    util::ThreadPool pool(4);
     std::atomic<uint64_t> totalRefs{0};
-    pool.parallelFor(apps.size(), [&](size_t i) {
+    util::parallelFor(5, apps.size(), [&](size_t i) {
         totalRefs += lab.analysis(apps[i]).totalRefs();
     });
     uint64_t expect = 0;
@@ -273,7 +273,7 @@ TEST(Determinism, ResultsBitIdenticalWithObservabilityOnOrOff)
 {
     // The observability acceptance bar: metrics recording plus a live
     // trace sink must not perturb a single bit of any result, at any
-    // pool width.
+    // width.
     const std::vector<Algorithm> algs = {
         Algorithm::Random, Algorithm::LoadBal, Algorithm::ShareRefs};
     const AppId app = AppId::Water;

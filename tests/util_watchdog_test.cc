@@ -158,22 +158,6 @@ TEST(Retry, ZeroAttemptPolicyIsAPanic)
 
 // ----------------------------------------------------------------- backoff
 
-TEST(Backoff, SeedZeroIsCappedExponential)
-{
-    RetryPolicy policy;
-    policy.initialBackoff = 10ms;
-    policy.multiplier = 2.0;
-    policy.maxBackoff = 100ms;
-    policy.jitterSeed = 0;
-    BackoffSchedule schedule(policy);
-    EXPECT_EQ(schedule.next(), 10ms);
-    EXPECT_EQ(schedule.next(), 20ms);
-    EXPECT_EQ(schedule.next(), 40ms);
-    EXPECT_EQ(schedule.next(), 80ms);
-    EXPECT_EQ(schedule.next(), 100ms);  // ceiling
-    EXPECT_EQ(schedule.next(), 100ms);
-}
-
 TEST(Backoff, JitterIsDeterministicPerSeed)
 {
     RetryPolicy policy;

@@ -18,22 +18,13 @@
 #include "svc/daemon.h"
 #include "svc/wire.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace tsp::svc::wire {
 namespace {
 
 using experiment::MachinePoint;
 using experiment::RunJob;
-
-/** splitmix64: deterministic mutation stream for the fuzz legs. */
-uint64_t
-nextRandom(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 StudyRequest
 sampleRequest()
@@ -289,21 +280,21 @@ TEST(WireFuzz, MutatedFramesNeverCrashOrOverAllocate)
     size_t delivered = 0, poisoned = 0, incomplete = 0;
     for (int iter = 0; iter < 500; ++iter) {
         std::string frame = pristine;
-        unsigned flips = 1 + nextRandom(rng) % 5;
+        unsigned flips = 1 + util::splitmix64(rng) % 5;
         for (unsigned f = 0; f < flips; ++f) {
-            size_t pos = nextRandom(rng) % frame.size();
-            frame[pos] ^= static_cast<char>(1 + nextRandom(rng) % 255);
+            size_t pos = util::splitmix64(rng) % frame.size();
+            frame[pos] ^= static_cast<char>(1 + util::splitmix64(rng) % 255);
         }
         // Occasionally truncate, duplicate, or prepend garbage too.
-        switch (nextRandom(rng) % 4) {
+        switch (util::splitmix64(rng) % 4) {
         case 0:
-            frame = frame.substr(0, nextRandom(rng) % frame.size());
+            frame = frame.substr(0, util::splitmix64(rng) % frame.size());
             break;
         case 1:
             frame += pristine;
             break;
         case 2:
-            frame.insert(0, 1 + nextRandom(rng) % 8, 'Z');
+            frame.insert(0, 1 + util::splitmix64(rng) % 8, 'Z');
             break;
         default:
             break;
@@ -311,7 +302,7 @@ TEST(WireFuzz, MutatedFramesNeverCrashOrOverAllocate)
 
         Deframer deframer;
         try {
-            size_t chunk = 1 + nextRandom(rng) % 64;
+            size_t chunk = 1 + util::splitmix64(rng) % 64;
             std::vector<Frame> frames = pump(deframer, frame, chunk);
             for (const Frame &got : frames) {
                 // A frame that survives the CRC still has to survive

@@ -11,12 +11,12 @@
  *   tsp-run chaos [options]
  *   tsp-run sample [options]
  *
- * shared options, parsed in one place (single run, sweep and
- * hierarchy take all five; chaos takes --scale and --jobs; sample
- * takes --scale and --paranoid):
+ * shared options, parsed in one place (sweep and hierarchy take all
+ * five; the single run takes all but --jobs; chaos takes --scale and
+ * --jobs; sample takes --scale and --paranoid):
  *   --scale N        workload scale divisor (default TSP_SCALE or 8;
  *                    chaos: 64)
- *   --jobs N         worker threads for parallel experiment drivers
+ *   --jobs N         threads the sweep's cells fan out over, 1-1024
  *                    (overrides TSP_JOBS; results are identical at
  *                    any width)
  *   --metrics-out PATH  enable the metrics registry and export it as
@@ -83,8 +83,9 @@
  * Exit codes: 0 success; 1 error; 2 usage; 3 degraded (failed cells /
  * chaos matrix failures); 4 interrupted by signal.
  *
- * All numeric flags are parsed strictly: non-numeric, negative or
- * overflowing values fail with a message naming the flag.
+ * All numeric flags are parsed strictly: a missing, non-numeric,
+ * negative or out-of-range value is a usage error (exit 2) with a
+ * message naming the flag.
  */
 
 #include <algorithm>
@@ -93,7 +94,9 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/chaos.h"
@@ -111,9 +114,9 @@
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/format.h"
+#include "util/parallel_for.h"
 #include "util/parse.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "workload/suite.h"
 
 namespace {
@@ -164,8 +167,9 @@ usage()
         "               [--warmup N] [--csv PATH]\n"
         "shared: --scale N  --jobs N  --metrics-out PATH"
         "  --fault site:nth[+]:kind  --paranoid N\n"
-        "        (chaos: --scale, --jobs; sample: --scale,"
-        " --paranoid)\n"
+        "        (single run: all but --jobs; chaos: --scale, --jobs;"
+        " sample: --scale,\n"
+        "        --paranoid; --jobs N is 1-1024)\n"
         "single run: --contexts N  --cache BYTES  --assoc N"
         "  --latency N  --switch N\n"
         "            --infinite  --profile\n"
@@ -181,6 +185,15 @@ usage()
     std::fprintf(stderr, "\n");
     return 2;
 }
+
+/** A bad flag value: main() prints the error and exits 2. */
+struct UsageError : std::runtime_error
+{
+    explicit UsageError(const util::FatalError &error)
+        : std::runtime_error(error)
+    {
+    }
+};
 
 /** Walks a command's flags, handing out their values. */
 class Args
@@ -204,12 +217,15 @@ class Args
     /** Whether the current flag is @p name. */
     bool is(const char *name) const { return !std::strcmp(flag_, name); }
 
-    /** The current flag's value; fails naming the flag when missing. */
+    /** The current flag's value; a usage error naming the flag when
+     *  missing. */
     const char *
     value()
     {
-        util::fatalIf(next_ >= argc_,
-                      std::string(flag_) + " needs a value");
+        if (next_ >= argc_) {
+            throw UsageError(
+                util::FatalError(std::string(flag_) + " needs a value"));
+        }
         return argv_[next_++];
     }
 
@@ -217,7 +233,9 @@ class Args
     uint64_t
     number(uint64_t min = 0, uint64_t max = UINT64_MAX)
     {
-        return util::parseUnsigned(value(), flag_, min, max);
+        return parsed([&](const char *text) {
+            return util::parseUnsigned(text, flag_, min, max);
+        });
     }
 
     uint32_t
@@ -226,7 +244,30 @@ class Args
         return static_cast<uint32_t>(number(min, max));
     }
 
+    /** The current flag's value as a comma-separated integer list. */
+    std::vector<uint64_t>
+    list(uint64_t min = 0, uint64_t max = UINT64_MAX)
+    {
+        return parsed([&](const char *text) {
+            return util::parseList(text, flag_, min, max);
+        });
+    }
+
   private:
+    /** @p parse applied to the current flag's value; a value it
+     *  rejects is a usage error. */
+    template <typename Parse>
+    std::invoke_result_t<Parse &, const char *>
+    parsed(Parse parse)
+    {
+        const char *text = value();
+        try {
+            return parse(text);
+        } catch (const util::FatalError &e) {
+            throw UsageError(e);
+        }
+    }
+
     int argc_;
     char **argv_;
     int next_;
@@ -251,7 +292,7 @@ struct SharedFlags
 
     unsigned accepted = kAll;
     uint32_t scale = workload::defaultScale();
-    unsigned jobs = util::ThreadPool::defaultJobs();
+    unsigned jobs = util::defaultJobs();
     std::string metricsPath = {};
 
     /** Consume the current flag if it is an accepted shared flag. */
@@ -261,7 +302,7 @@ struct SharedFlags
         if ((accepted & kScale) && args.is("--scale")) {
             scale = args.number32(1);
         } else if ((accepted & kJobs) && args.is("--jobs")) {
-            jobs = args.number32(0, 4096);
+            jobs = args.number32(1, 1024);
         } else if ((accepted & kMetrics) && args.is("--metrics-out")) {
             metricsPath = args.value();
             obs::setMetricsEnabled(true);
@@ -487,10 +528,9 @@ runSample(int argc, char **argv)
         } else if (args.is("--length-mult")) {
             options.lengthMult = args.number32(1, 1024);
         } else if (args.is("--window")) {
-            options.windows = util::parseList(args.value(), "--window", 1);
+            options.windows = args.list(1);
         } else if (args.is("--clusters")) {
-            const auto ks =
-                util::parseList(args.value(), "--clusters", 1, UINT32_MAX);
+            const auto ks = args.list(1, UINT32_MAX);
             options.clusters.assign(ks.begin(), ks.end());
         } else if (args.is("--warmup")) {
             options.warmupWindows = args.number32(0, 64);
@@ -545,7 +585,8 @@ runOne(int argc, char **argv)
     uint32_t procs = util::parseUnsigned32(argv[3], "processors", 1,
                                            sim::kMaxProcessors);
 
-    SharedFlags shared;
+    // The single run simulates one cell, so --jobs has nothing to fan.
+    SharedFlags shared{.accepted = SharedFlags::kAll & ~SharedFlags::kJobs};
     uint32_t contexts = 0, assoc = 1, latency = 50, switchCy = 6;
     uint64_t cacheBytes = 0;
     bool infinite = false, profile = false;
@@ -569,8 +610,6 @@ runOne(int argc, char **argv)
         else
             return usage();
     }
-    util::ThreadPool::setDefaultJobs(shared.jobs);
-
     experiment::Lab lab(shared.scale);
     const auto &an = lab.analysis(app);
     if (contexts == 0) {
@@ -652,6 +691,9 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[1], "sample"))
             return runSample(argc, argv);
         return runOne(argc, argv);
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
