@@ -73,9 +73,11 @@ identityMap(uint32_t threads)
  * per processor on the synthetic scalable workload through the
  * bounded-memory streaming path (a materialized 1024-thread TraceSet
  * would defeat the point); per-thread length shrinks with the machine
- * so total references stay roughly constant, isolating the
- * per-reference cost of wide sharer sets (SharerSet spill, broadcast
- * invalidations), which is what grows past 128 processors.
+ * so total references stay roughly constant, isolating how the
+ * per-reference cost grows with the machine. Past 128 processors that
+ * growth was event selection (an O(P) scan per event chain, and a
+ * chain is about one micro-step long there), not the wide sharer
+ * sets; the event tree makes it O(log P) (docs/performance.md).
  */
 void
 BM_SimulateProcessors(benchmark::State &state)

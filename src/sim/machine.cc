@@ -15,7 +15,7 @@ Machine::Machine(const SimConfig &cfg, const trace::TraceSource &source,
                  const placement::PlacementMap &placement)
     : cfg_(cfg), source_(&source),
       directory_(cfg.processors, cfg.protocol),
-      interconnect_(cfg)
+      interconnect_(cfg), events_(cfg.processors)
 {
     cfg_.validate();
     const uint32_t threads = source.threadCount();
@@ -427,32 +427,23 @@ Machine::advance(uint64_t maxChains)
             schedule(p, 0);
     }
 
-    const uint32_t n = cfg_.processors;
     uint64_t chains = 0;
     while (true) {
         if (maxChains != 0 && chains++ == maxChains)
             return false;
-        // Earliest pending event and runner-up in one scan. Strict
-        // less-than keeps the first of equal times, so ties go to the
-        // lowest processor id — exactly the old heap's
-        // (time, processor) ordering. The runner-up is the chain
-        // horizon: the picked processor runs until its local time
-        // passes it (see docs/performance.md).
-        uint64_t now = kNoEvent;
-        uint64_t horizon = kNoEvent;
-        uint32_t p = 0;
-        for (uint32_t i = 0; i < n; ++i) {
-            uint64_t s = scheduledAt_[i];
-            if (s < now) {
-                horizon = now;
-                now = s;
-                p = i;
-            } else if (s < horizon) {
-                horizon = s;
-            }
+        if (treeStale_) {
+            events_.rebuild(scheduledAt_);
+            treeStale_ = false;
         }
+        // Earliest pending event from the event tree, ties to the
+        // lowest processor id (the order the golden digests pin). The
+        // runner-up's time is the chain horizon: the picked processor
+        // runs until its local time passes it (docs/performance.md).
+        uint64_t now = events_.winnerTime();
         if (now == kNoEvent)
             break;
+        const uint32_t p = events_.winner();
+        uint64_t horizon = events_.horizon();
         scheduledAt_[p] = kNoEvent;
         rescheduled_ = false;
 
@@ -462,8 +453,8 @@ Machine::advance(uint64_t maxChains)
         // Chain: one micro-step (commit a pending interaction, fetch
         // the next chunk, or go idle until a wake) per iteration, for
         // as long as this processor stays at or before every other
-        // processor's next event. Inlined into the scan loop — not a
-        // per-event function call — because at high processor counts a
+        // processor's next event. Inlined into the selection loop — not
+        // a per-event function call — because at high processor counts a
         // chain is barely one micro-step long (docs/performance.md).
         // Identical micro-step semantics to processing one event at a
         // time through a scheduler queue, minus the dispatch overhead.
@@ -598,6 +589,10 @@ Machine::advance(uint64_t maxChains)
                 ps.finishTime = std::max(ps.finishTime, now);
             }
         }
+        // Only this processor's time moved, unless a barrier release
+        // rescheduled others: then the next chain rebuilds instead.
+        if (!treeStale_)
+            events_.replayWinner(scheduledAt_[p]);
     }
 
     complete_ = true;

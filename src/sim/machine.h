@@ -38,6 +38,7 @@
 #include "sim/cache.h"
 #include "sim/config.h"
 #include "sim/directory.h"
+#include "sim/event_tree.h"
 #include "sim/interconnect.h"
 #include "sim/invariant_checker.h"
 #include "sim/l2_cache.h"
@@ -136,7 +137,7 @@ class Machine
     static constexpr uint64_t kWaiting = ~0ull;
 
     /** scheduledAt sentinel: no outstanding event. */
-    static constexpr uint64_t kNoEvent = ~0ull;
+    static constexpr uint64_t kNoEvent = EventTree::kNoEvent;
 
     /** One hardware context. */
     struct Context
@@ -183,7 +184,11 @@ class Machine
     /** Earliest wake among stalled (not barrier-blocked) contexts. */
     std::optional<uint64_t> nextWake(const Proc &proc) const;
 
-    /** Earliest pending event time across all processors. */
+    /**
+     * Earliest pending event time across all processors: the O(P)
+     * horizon refresh after a mid-chain barrier release, the one
+     * place the chain cannot ask the event tree (it is stale then).
+     */
     uint64_t
     minScheduled() const
     {
@@ -226,15 +231,21 @@ class Machine
     /** Wake every barrier waiter at time @p now. */
     void releaseBarrier(uint64_t now);
 
-    /** Move processor @p p's next event up to @p t if earlier. */
+    /**
+     * Move processor @p p's next event up to @p t if earlier. The
+     * event tree is then stale: advance() rebuilds it before the next
+     * chain.
+     */
     void
     schedule(uint32_t p, uint64_t t)
     {
-        util::panicIf(t == kNoEvent,
-                      "event time collides with the no-event sentinel");
+        // kNoEvent is itself beyond the limit.
+        util::panicIf(t >= EventTree::kTimeLimit,
+                      "event time beyond the event tree's 54-bit range");
         if (t < scheduledAt_[p]) {
             scheduledAt_[p] = t;
             rescheduled_ = true;
+            treeStale_ = true;
         }
     }
 
@@ -276,14 +287,19 @@ class Machine
     uint64_t refsSeen_ = 0;
 
     // Event "queue": scheduledAt_[p] is processor p's next event time
-    // (kNoEvent when it has none). With at most kMaxProcessors
-    // processors, the run() loop finds the earliest event with a
-    // linear argmin scan — cheaper than a binary heap at these sizes,
-    // and allocation-free by construction (see docs/performance.md).
+    // (kNoEvent when it has none), and events_ is a loser tree over
+    // those times: each chain reads its processor and horizon from the
+    // tree in O(log P) and re-plays one leaf when it ends
+    // (sim/event_tree.h, docs/performance.md). A chain clears its own
+    // scheduledAt_ entry but leaves its leaf in the tree until then.
     // rescheduled_ flags a mid-chain schedule() (barrier release) so
-    // run() recomputes its cached horizon only when it can change.
+    // the chain recomputes its cached horizon only when it can change;
+    // treeStale_ makes the next chain rebuild the tree from
+    // scheduledAt_ instead of re-playing one leaf.
     std::vector<uint64_t> scheduledAt_;
+    EventTree events_;
     bool rescheduled_ = false;
+    bool treeStale_ = false;
 
     // Barrier state.
     uint32_t barrierParticipants_ = 0;  //!< 0 when traces are barrier-free

@@ -2,15 +2,19 @@
  * @file
  * Machine tests: hand-computed cycle-exact timelines for small traces,
  * coherence attribution scenarios, the threads-beyond-contexts queue,
- * and property tests (cycle identity, hit+miss conservation,
- * determinism, infinite-cache behaviour) over random workloads.
+ * property tests (cycle identity, hit+miss conservation,
+ * determinism, infinite-cache behaviour) over random workloads, and
+ * the event tree against the argmin scan it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "core/placement_map.h"
+#include "sim/event_tree.h"
 #include "sim/machine.h"
 #include "trace/address_space.h"
 #include "trace/trace_set.h"
@@ -442,6 +446,118 @@ TEST(Machine, SmallerCacheNeverHasFewerMisses)
     uint64_t smallMisses = simulate(small, ts, map).totalMisses();
     uint64_t bigMisses = simulate(big, ts, map).totalMisses();
     EXPECT_GE(smallMisses, bigMisses);
+}
+
+// ------------------------------------------ event tree vs. argmin scan
+
+/** The event selection the tree replaced, kept as the reference. */
+struct ScanPick
+{
+    uint64_t now;      //!< earliest time, kNoEvent when none
+    uint32_t p;        //!< its processor (lowest id among equal times)
+    uint64_t horizon;  //!< the runner-up's time, by value
+};
+
+ScanPick
+argminScan(const std::vector<uint64_t> &times)
+{
+    ScanPick pick{EventTree::kNoEvent, 0, EventTree::kNoEvent};
+    for (uint32_t i = 0; i < times.size(); ++i) {
+        uint64_t s = times[i];
+        if (s < pick.now) {
+            pick.horizon = pick.now;
+            pick.now = s;
+            pick.p = i;
+        } else if (s < pick.horizon) {
+            pick.horizon = s;
+        }
+    }
+    return pick;
+}
+
+class EventTreeVsScan : public ::testing::TestWithParam<uint32_t>
+{};
+
+// Random yields (often to an equal time, sometimes to no event or to
+// the largest packable time), bulk reschedules with rebuilds, and
+// bare rebuilds; after every step the tree's winner and horizon must
+// be the scan's.
+TEST_P(EventTreeVsScan, WinnerAndHorizonMatchTheScan)
+{
+    const uint32_t procs = GetParam();
+    util::Rng rng(procs);
+    std::vector<uint64_t> times(procs, EventTree::kNoEvent);
+    EventTree tree(procs);
+    auto randomTime = [&](uint64_t from) -> uint64_t {
+        switch (rng.nextBelow(16)) {
+          case 0:
+            return EventTree::kNoEvent;
+          case 1:
+            return EventTree::kTimeLimit - 1 - rng.nextBelow(2);
+          default:  // equal times are common
+            return std::min(from + rng.nextBelow(4),
+                            EventTree::kTimeLimit - 1);
+        }
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const ScanPick want = argminScan(times);
+        ASSERT_EQ(tree.winnerTime(), want.now) << "step " << step;
+        ASSERT_EQ(tree.winner(), want.p) << "step " << step;
+        ASSERT_EQ(tree.horizon(), want.horizon) << "step " << step;
+
+        const uint64_t op = rng.nextBelow(32);
+        if (want.now == EventTree::kNoEvent || op == 0) {
+            // Bulk reschedule (a barrier release), then rebuild.
+            const uint64_t moves = 1 + rng.nextBelow(procs);
+            for (uint64_t k = 0; k < moves; ++k)
+                times[rng.nextBelow(procs)] = randomTime(rng.nextBelow(8));
+            tree.rebuild(times);
+        } else if (op == 1) {
+            tree.rebuild(times);
+        } else {
+            // The winner's chain ends: yield or go idle.
+            const uint64_t t = randomTime(want.now);
+            times[want.p] = t;
+            tree.replayWinner(t);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, EventTreeVsScan,
+                         ::testing::Values(1u, 2u, 3u, 8u, 129u, 1024u));
+
+TEST(EventTree, TimesBeyondTheKeyRangePanic)
+{
+    EventTree tree(8);
+    std::vector<uint64_t> times(8, 5);
+    tree.rebuild(times);
+    // 2^54 - 1 packs to the no-event time, so it is out of range too.
+    EXPECT_THROW(tree.replayWinner(1ull << 54), util::PanicError);
+    EXPECT_THROW(tree.replayWinner(EventTree::kTimeLimit),
+                 util::PanicError);
+    times[3] = 1ull << 54;
+    EXPECT_THROW(tree.rebuild(times), util::PanicError);
+    times[3] = EventTree::kTimeLimit - 1;  // the largest real time
+    tree.rebuild(times);
+    EXPECT_EQ(tree.winnerTime(), 5u);
+    EXPECT_EQ(tree.horizon(), 5u);
+}
+
+TEST(Machine, EventTimesBeyondTheKeyRangePanic)
+{
+    // Processor 0's first chain runs 2^54 cycles of work and yields to
+    // processor 1 at a time the event tree cannot hold.
+    TraceSet ts("far");
+    ThreadTrace t0(0);
+    t0.appendWork(1ull << 54);
+    t0.appendLoad(sharedBlockAddr(0));
+    ts.addThread(std::move(t0));
+    ThreadTrace t1(1);
+    t1.appendWork(1);
+    t1.appendLoad(sharedBlockAddr(1));
+    ts.addThread(std::move(t1));
+    EXPECT_THROW(simulate(baseConfig(2, 1), ts, PlacementMap(2, {0, 1})),
+                 util::PanicError);
 }
 
 } // namespace

@@ -25,6 +25,10 @@ The comparison silently skips baseline entries absent from CURRENT (a
 partial run is a valid way to gate a subset). --require PREFIX closes
 that hole for benchmarks that must never drop out of a gated run: exit
 status 2 if no compared benchmark name starts with PREFIX (repeatable).
+PREFIX matches whole '/'-separated segments only, so
+BM_SimulateProcessors/2 names the 2-processor leg and is not satisfied
+by BM_SimulateProcessors/256, and BM_ClusterShareRefs does not match
+BM_ClusterShareRefsLB/64.
 """
 
 import argparse
@@ -97,6 +101,12 @@ def compare(baseline, current, threshold_pct):
             yield name, unit, b, c, delta, delta < -threshold_pct
 
 
+def segment_prefix(prefix, name):
+    """True when PREFIX's '/'-separated segments open NAME's."""
+    want = prefix.split("/")
+    return name.split("/")[:len(want)] == want
+
+
 def fmt(value, metric):
     if metric == "items/s":
         return "%.3fM" % (value / 1e6)
@@ -117,7 +127,8 @@ def main():
     ap.add_argument("--require", action="append", default=[],
                     metavar="PREFIX",
                     help="fail unless a compared benchmark name starts "
-                         "with PREFIX (repeatable)")
+                         "with PREFIX's whole '/'-separated segments "
+                         "(repeatable)")
     args = ap.parse_args()
 
     baseline = load_baseline(args.baseline)
@@ -131,10 +142,10 @@ def main():
         return 2
     compared = [name for name, *_ in rows]
     for prefix in args.require:
-        if not any(name.startswith(prefix) for name in compared):
-            print("error: required benchmark '%s*' missing from the "
-                  "comparison (not in both %s and %s)"
-                  % (prefix, args.baseline, args.current),
+        if not any(segment_prefix(prefix, name) for name in compared):
+            print("error: required benchmark '%s' (or '%s/...') missing "
+                  "from the comparison (not in both %s and %s)"
+                  % (prefix, prefix, args.baseline, args.current),
                   file=sys.stderr)
             return 2
 
