@@ -24,6 +24,7 @@
 #include "analysis/static_analysis.h"
 #include "core/algorithms.h"
 #include "experiment/lab.h"
+#include "experiment/sampling_study.h"
 #include "experiment/studies.h"
 #include "util/checksum.h"
 #include "util/rng.h"
@@ -124,19 +125,18 @@ feedPlacement(uint32_t &crc, placement::Algorithm alg,
         feed64(crc, proc);
 }
 
-TEST(GoldenDigest, PlacementsAtEverySweepPoint)
+/** CRC of @p algs' placements at every (app, standardSweep point). */
+uint32_t
+sweepPlacementDigest(const std::vector<placement::Algorithm> &algs,
+                     size_t &placements)
 {
-    // Pins the clustering engine's output directly (the execution-time
-    // digests see placements only through the cycles they cause):
-    // 14 apps x standardSweep x 14 static algorithms = 700 placements.
     Lab lab(64);
     uint32_t crc = 0;
-    size_t placements = 0;
     for (workload::AppId app : workload::allApps()) {
         const auto threads =
             static_cast<uint32_t>(lab.analysis(app).threadCount());
         for (const MachinePoint &point : standardSweep(threads)) {
-            for (placement::Algorithm alg : staticAlgorithms()) {
+            for (placement::Algorithm alg : algs) {
                 feedPlacement(crc, alg,
                               lab.placementFor(app, alg,
                                                point.processors));
@@ -144,8 +144,36 @@ TEST(GoldenDigest, PlacementsAtEverySweepPoint)
             }
         }
     }
+    return crc;
+}
+
+// The placement digests below were recorded with the clusterer's
+// explicit tie rule: among equal scores the lowest cluster pair wins
+// (core/clusterer.h).
+
+TEST(GoldenDigest, PlacementsAtEverySweepPoint)
+{
+    // Pins the clustering engine's output directly (the execution-time
+    // digests see placements only through the cycles they cause):
+    // 14 apps x standardSweep x 14 static algorithms = 700 placements.
+    size_t placements = 0;
+    EXPECT_EQ(sweepPlacementDigest(staticAlgorithms(), placements),
+              0x8e96fbc2u);
     EXPECT_EQ(placements, 700u);
-    EXPECT_EQ(crc, 0xc7c576beu);
+}
+
+TEST(GoldenDigest, CoherencePlacementsAtEverySweepPoint)
+{
+    // The dynamic algorithms score a measured coherence matrix: one
+    // probe simulation per app, then 100 placements. Gauss at 16
+    // processors proves many partitions infeasible on the way.
+    size_t placements = 0;
+    EXPECT_EQ(sweepPlacementDigest(
+                  {placement::Algorithm::CoherenceTraffic,
+                   placement::Algorithm::CoherenceTrafficLB},
+                  placements),
+              0x88460035u);
+    EXPECT_EQ(placements, 100u);
 }
 
 TEST(GoldenDigest, PlacementsOf28ThreadsOn11Processors)
@@ -169,7 +197,29 @@ TEST(GoldenDigest, PlacementsOf28ThreadsOn11Processors)
         util::Rng rng(11);
         feedPlacement(crc, alg, placement::place(alg, an, 11, rng));
     }
-    EXPECT_EQ(crc, 0x968aa0a8u);
+    EXPECT_EQ(crc, 0x3b0a83aeu);
+}
+
+TEST(GoldenDigest, PlacementsAtNonDivisibleShapes)
+{
+    // T = 8P/3: each processor gets 2 or 3 threads. These shapes made
+    // the thread-balance oracle exponential before it remembered the
+    // states it had refuted (48 threads on 18 processors ran for
+    // minutes).
+    uint32_t crc = 0;
+    for (auto [threads, processors] :
+         {std::pair{40u, 15u}, std::pair{48u, 18u}, std::pair{56u, 21u},
+          std::pair{64u, 24u}, std::pair{128u, 48u}}) {
+        const auto an = analysis::StaticAnalysis::analyze(
+            workload::generateTraces(
+                syntheticScaleProfile(threads, 2000), 1));
+        for (placement::Algorithm alg : staticAlgorithms()) {
+            util::Rng rng(11);
+            feedPlacement(crc, alg,
+                          placement::place(alg, an, processors, rng));
+        }
+    }
+    EXPECT_EQ(crc, 0x0619f36bu);
 }
 
 } // namespace
