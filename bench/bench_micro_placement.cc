@@ -6,8 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <utility>
+
 #include "analysis/static_analysis.h"
 #include "core/algorithms.h"
+#include "experiment/sampling_study.h"
 #include "util/rng.h"
 #include "workload/app_profile.h"
 #include "workload/generator.h"
@@ -90,7 +94,47 @@ BM_ClusterShareRefsLB(benchmark::State &state)
         benchmark::DoNotOptimize(map.threadCount());
     }
 }
-BENCHMARK(BM_ClusterShareRefsLB)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_ClusterShareRefsLB)->Arg(8)->Arg(32)->Arg(64)->Arg(256);
+
+/** Analysis of the wide-machine synthetic profile, memoized. */
+const analysis::StaticAnalysis &
+scaleAnalysis(uint32_t threads)
+{
+    static std::map<uint32_t, analysis::StaticAnalysis> cache;
+    auto it = cache.find(threads);
+    if (it == cache.end()) {
+        auto traces = workload::generateTraces(
+            experiment::syntheticScaleProfile(threads, 2000), 1);
+        it = cache
+                 .emplace(threads,
+                          analysis::StaticAnalysis::analyze(traces))
+                 .first;
+    }
+    return it->second;
+}
+
+/**
+ * Thread-balanced SHARE-REFS at shapes where the processor count does
+ * not divide the thread count (T = 8P/3, and 256 on 48): the
+ * feasibility oracle must refute partitions on the way.
+ */
+void
+BM_ClusterShareRefsShape(benchmark::State &state)
+{
+    const auto threads = static_cast<uint32_t>(state.range(0));
+    const auto processors = static_cast<uint32_t>(state.range(1));
+    const auto &an = scaleAnalysis(threads);
+    util::Rng rng(8);
+    for (auto _ : state) {
+        auto map = placement::place(placement::Algorithm::ShareRefs, an,
+                                    processors, rng);
+        benchmark::DoNotOptimize(map.threadCount());
+    }
+}
+BENCHMARK(BM_ClusterShareRefsShape)
+    ->Args({40, 15})
+    ->Args({128, 48})
+    ->Args({256, 48});
 
 void
 BM_LoadBal(benchmark::State &state)

@@ -56,6 +56,7 @@ main()
     // (shared(2,4)+shared(3,4)) / (2*1).
     {
         ClusterSet cs(5);
+        cs.track(shared);
         cs.merge(1, 2);
         double metric = pairAverage(shared, cs, 1, 2);
         std::printf("sharing-metric({t1,t2},{t3}) = (%.1f + %.1f) / "

@@ -143,25 +143,29 @@ std::unique_ptr<SharingMetric>
 makeMetric(Algorithm alg, const analysis::StaticAnalysis &analysis,
            const stats::PairMatrix *coherence)
 {
+    const stats::PairMatrix &refs = analysis.sharedRefs();
     switch (alg) {
       case Algorithm::ShareRefs:
       case Algorithm::ShareRefsLB:
-        return std::make_unique<ShareRefsMetric>(analysis);
+        return std::make_unique<ShareRefsMetric>(refs);
       case Algorithm::ShareAddr:
       case Algorithm::ShareAddrLB:
-        return std::make_unique<ShareAddrMetric>(analysis);
+        return std::make_unique<ShareAddrMetric>(refs,
+                                                 analysis.sharedAddrs());
       case Algorithm::MinPriv:
       case Algorithm::MinPrivLB:
-        return std::make_unique<MinPrivMetric>(analysis);
+        return std::make_unique<MinPrivMetric>(
+            refs, analysis.threadPrivateAddrs());
       case Algorithm::MinInvs:
       case Algorithm::MinInvsLB:
-        return std::make_unique<MinInvsMetric>(analysis);
+        return std::make_unique<MinInvsMetric>(refs);
       case Algorithm::MaxWrites:
       case Algorithm::MaxWritesLB:
-        return std::make_unique<MaxWritesMetric>(analysis);
+        return std::make_unique<MaxWritesMetric>(
+            analysis.writeSharedRefs());
       case Algorithm::MinShare:
       case Algorithm::MinShareLB:
-        return std::make_unique<MinShareMetric>(analysis);
+        return std::make_unique<MinShareMetric>(refs);
       case Algorithm::CoherenceTraffic:
       case Algorithm::CoherenceTrafficLB:
         util::fatalIf(coherence == nullptr,

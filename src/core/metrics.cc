@@ -2,26 +2,17 @@
 
 namespace tsp::placement {
 
-double
-pairSum(const stats::PairMatrix &m, const ClusterSet &cs, size_t a,
-        size_t b)
-{
-    return m.crossSum(cs.members(a), cs.members(b));
-}
-
-double
-pairAverage(const stats::PairMatrix &m, const ClusterSet &cs, size_t a,
-            size_t b)
-{
-    double denom = static_cast<double>(cs.size(a)) *
-                   static_cast<double>(cs.size(b));
-    return pairSum(m, cs, a, b) / denom;
-}
-
 MergeScore
 ShareRefsMetric::score(const ClusterSet &cs, size_t a, size_t b) const
 {
-    return {pairAverage(analysis_.sharedRefs(), cs, a, b), 0.0};
+    return {pairAverage(refs_, cs, a, b), 0.0};
+}
+
+void
+ShareAddrMetric::track(ClusterSet &cs) const
+{
+    cs.track(refs_);
+    cs.track(addrs_);
 }
 
 MergeScore
@@ -29,39 +20,33 @@ ShareAddrMetric::score(const ClusterSet &cs, size_t a, size_t b) const
 {
     // Fewer distinct shared addresses for the same shared references
     // means a denser shared working set: prefer it.
-    double refs = pairAverage(analysis_.sharedRefs(), cs, a, b);
-    double addrs = pairAverage(analysis_.sharedAddrs(), cs, a, b);
-    return {refs, -addrs};
+    return {pairAverage(refs_, cs, a, b), -pairAverage(addrs_, cs, a, b)};
+}
+
+void
+MinPrivMetric::track(ClusterSet &cs) const
+{
+    cs.track(refs_);
+    cs.track(priv_);
 }
 
 MergeScore
 MinPrivMetric::score(const ClusterSet &cs, size_t a, size_t b) const
 {
-    double refs = pairAverage(analysis_.sharedRefs(), cs, a, b);
-    double priv = 0.0;
-    for (uint32_t tid : cs.members(a))
-        priv += static_cast<double>(analysis_.threadPrivateAddrs()[tid]);
-    for (uint32_t tid : cs.members(b))
-        priv += static_cast<double>(analysis_.threadPrivateAddrs()[tid]);
-    return {refs, -priv};
+    const uint64_t priv = cs.sum(priv_, a) + cs.sum(priv_, b);
+    return {pairAverage(refs_, cs, a, b), -static_cast<double>(priv)};
 }
 
 MergeScore
 MinInvsMetric::score(const ClusterSet &cs, size_t a, size_t b) const
 {
-    return {pairSum(analysis_.sharedRefs(), cs, a, b), 0.0};
-}
-
-MergeScore
-MaxWritesMetric::score(const ClusterSet &cs, size_t a, size_t b) const
-{
-    return {pairAverage(analysis_.writeSharedRefs(), cs, a, b), 0.0};
+    return {cs.crossSum(refs_, a, b), 0.0};
 }
 
 MergeScore
 MinShareMetric::score(const ClusterSet &cs, size_t a, size_t b) const
 {
-    return {-pairAverage(analysis_.sharedRefs(), cs, a, b), 0.0};
+    return {-pairAverage(refs_, cs, a, b), 0.0};
 }
 
 MergeScore

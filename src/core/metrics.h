@@ -7,16 +7,21 @@
  * All pair-averaged metrics use the paper's normalization: the sum of
  * shared references between cross-cluster thread pairs divided by
  * |c_a| * |c_b|, so clusters of unequal size compare fairly.
+ *
+ * A metric reads only sums the ClusterSet keeps across merges (cross
+ * sums of pair matrices, per-cluster sums of per-thread vectors); it
+ * names them in track() and scores from them in O(1).
  */
 
 #ifndef TSP_CORE_METRICS_H
 #define TSP_CORE_METRICS_H
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "analysis/static_analysis.h"
 #include "core/cluster_set.h"
 #include "stats/pair_matrix.h"
 
@@ -51,36 +56,47 @@ class SharingMetric
     /** Metric name for reports. */
     virtual std::string name() const = 0;
 
+    /**
+     * Ask @p cs to keep the sums score() reads (ClusterSet::track).
+     * Call on a set with no merges yet.
+     */
+    virtual void track(ClusterSet &cs) const = 0;
+
     /** Score for merging clusters @p a and @p b of @p cs. */
     virtual MergeScore score(const ClusterSet &cs, size_t a,
                              size_t b) const = 0;
 };
 
-/** Averaged cross-cluster sum over an arbitrary pair matrix. */
-double pairAverage(const stats::PairMatrix &m, const ClusterSet &cs,
-                   size_t a, size_t b);
-
-/** Raw (unnormalized) cross-cluster sum over a pair matrix. */
-double pairSum(const stats::PairMatrix &m, const ClusterSet &cs,
-               size_t a, size_t b);
+/**
+ * Averaged cross-cluster sum over a pair matrix @p cs tracks:
+ * crossSum / (|a| * |b|).
+ */
+inline double
+pairAverage(const stats::PairMatrix &m, const ClusterSet &cs, size_t a,
+            size_t b)
+{
+    return cs.crossSum(m, a, b) / (static_cast<double>(cs.size(a)) *
+                                   static_cast<double>(cs.size(b)));
+}
 
 /**
  * SHARE-REFS: maximize averaged shared references between the clusters
- * being combined.
+ * being combined. Also the base of the metrics that read one matrix.
  */
 class ShareRefsMetric : public SharingMetric
 {
   public:
-    explicit ShareRefsMetric(const analysis::StaticAnalysis &a)
-        : analysis_(a)
+    explicit ShareRefsMetric(const stats::PairMatrix &sharedRefs)
+        : refs_(sharedRefs)
     {}
 
     std::string name() const override { return "SHARE-REFS"; }
+    void track(ClusterSet &cs) const override { cs.track(refs_); }
     MergeScore score(const ClusterSet &cs, size_t a,
                      size_t b) const override;
 
   protected:
-    const analysis::StaticAnalysis &analysis_;
+    const stats::PairMatrix &refs_;
 };
 
 /**
@@ -91,11 +107,18 @@ class ShareRefsMetric : public SharingMetric
 class ShareAddrMetric : public ShareRefsMetric
 {
   public:
-    using ShareRefsMetric::ShareRefsMetric;
+    ShareAddrMetric(const stats::PairMatrix &sharedRefs,
+                    const stats::PairMatrix &sharedAddrs)
+        : ShareRefsMetric(sharedRefs), addrs_(sharedAddrs)
+    {}
 
     std::string name() const override { return "SHARE-ADDR"; }
+    void track(ClusterSet &cs) const override;
     MergeScore score(const ClusterSet &cs, size_t a,
                      size_t b) const override;
+
+  private:
+    const stats::PairMatrix &addrs_;
 };
 
 /**
@@ -105,11 +128,18 @@ class ShareAddrMetric : public ShareRefsMetric
 class MinPrivMetric : public ShareRefsMetric
 {
   public:
-    using ShareRefsMetric::ShareRefsMetric;
+    MinPrivMetric(const stats::PairMatrix &sharedRefs,
+                  const std::vector<uint64_t> &threadPrivateAddrs)
+        : ShareRefsMetric(sharedRefs), priv_(threadPrivateAddrs)
+    {}
 
     std::string name() const override { return "MIN-PRIV"; }
+    void track(ClusterSet &cs) const override;
     MergeScore score(const ClusterSet &cs, size_t a,
                      size_t b) const override;
+
+  private:
+    const std::vector<uint64_t> &priv_;
 };
 
 /**
@@ -129,8 +159,8 @@ class MinInvsMetric : public ShareRefsMetric
 };
 
 /**
- * MAX-WRITES: SHARE-REFS restricted to write-shared data, the data that
- * actually causes invalidations.
+ * MAX-WRITES: SHARE-REFS over the write-shared references, the data
+ * that actually causes invalidations. Construct it with that matrix.
  */
 class MaxWritesMetric : public ShareRefsMetric
 {
@@ -138,8 +168,6 @@ class MaxWritesMetric : public ShareRefsMetric
     using ShareRefsMetric::ShareRefsMetric;
 
     std::string name() const override { return "MAX-WRITES"; }
-    MergeScore score(const ClusterSet &cs, size_t a,
-                     size_t b) const override;
 };
 
 /**
@@ -161,7 +189,8 @@ class MinShareMetric : public ShareRefsMetric
  * COHERENCE-TRAFFIC: uses a dynamically measured thread-pair coherence
  * traffic matrix (from a one-thread-per-processor simulation) instead of
  * static shared-reference counts — the best case a sharing-based
- * placement could achieve (Section 4.2).
+ * placement could achieve (Section 4.2). It averages like SHARE-REFS,
+ * over its own copy of that matrix.
  */
 class CoherenceTrafficMetric : public SharingMetric
 {
@@ -171,6 +200,7 @@ class CoherenceTrafficMetric : public SharingMetric
     {}
 
     std::string name() const override { return "COHERENCE-TRAFFIC"; }
+    void track(ClusterSet &cs) const override { cs.track(traffic_); }
     MergeScore score(const ClusterSet &cs, size_t a,
                      size_t b) const override;
 
