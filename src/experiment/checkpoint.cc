@@ -23,8 +23,9 @@ namespace {
 
 constexpr char kMagic[4] = {'T', 'S', 'P', 'S'};
 // v2: job keys carry the memory-system variant; RunResult payloads
-// carry the shared-L2 counters.
-constexpr uint32_t kVersion = 2;
+// carry the shared-L2 counters. v3: payloads drop the thread-pair
+// matrix and the sharing profile.
+constexpr uint32_t kVersion = 3;
 constexpr size_t kHeaderBytes = sizeof(kMagic) + 2 * sizeof(uint32_t);
 constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
 

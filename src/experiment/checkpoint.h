@@ -9,7 +9,7 @@
  * (`Daemon::Config::storePath`, `tsp-serve --store`) serves repeated
  * cells from it across restarts. Both may share one file.
  *
- * File format ("TSPS", version 2, little-endian):
+ * File format ("TSPS", version 3, little-endian):
  *
  *     magic "TSPS" | u32 version | u32 workload scale
  *     record*:  u32 payloadBytes | u32 crc32(payload) | payload
@@ -59,8 +59,10 @@ class Checkpoint
      * Open the store at @p path for a lab at workload @p scale,
      * replaying every intact record; a missing file is an empty store,
      * created by the first record(). Throws FatalError when the file
-     * is not a TSPS store or was written at a different scale (its
-     * results would not be comparable).
+     * is not a TSPS store, is a store of another version (no older
+     * layout is read; delete it and its cells are recomputed) or was
+     * written at a different scale (its results would not be
+     * comparable).
      */
     Checkpoint(std::string path, uint32_t scale);
 

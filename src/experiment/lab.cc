@@ -75,11 +75,11 @@ Lab::threadLength(AppId app)
 const stats::PairMatrix &
 Lab::coherenceMatrix(AppId app)
 {
-    return coherenceStats(app).coherencePairs;
+    return coherenceProbe(app).pairs;
 }
 
-const sim::SimStats &
-Lab::coherenceStats(AppId app)
+const sim::CoherenceProbeResult &
+Lab::coherenceProbe(AppId app)
 {
     auto &entry = memoEntry(probes_, app);
     bool materialized = false;
@@ -93,7 +93,7 @@ Lab::coherenceStats(AppId app)
     (materialized ? obs::labProbeMemoMisses()
                   : obs::labProbeMemoHits())
         .inc();
-    return entry.value->stats;
+    return *entry.value;
 }
 
 void
@@ -102,7 +102,7 @@ Lab::warmup(AppId app, bool coherence)
     obs::ScopedTimer timer(obs::labWarmupMillis());
     analysis(app);  // materializes traces(app) first
     if (coherence)
-        coherenceStats(app);
+        coherenceProbe(app);
 }
 
 sim::SimConfig

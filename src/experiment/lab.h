@@ -74,7 +74,7 @@ struct RunResult
  * Thread-safety contract: every public method may be called from any
  * number of threads concurrently. The lazy caches use per-key
  * once-initialization — the first caller of traces()/analysis()/
- * coherenceStats() for an application materializes the artifact while
+ * coherenceProbe() for an application materializes the artifact while
  * concurrent callers for the *same* application block on it and then
  * share the one cached instance; callers for *different* applications
  * proceed in parallel. Returned references stay valid for the Lab's
@@ -108,8 +108,11 @@ class Lab
      */
     const stats::PairMatrix &coherenceMatrix(workload::AppId app);
 
-    /** Full statistics of the coherence measurement run (memoized). */
-    const sim::SimStats &coherenceStats(workload::AppId app);
+    /**
+     * The whole coherence measurement run of @p app: its pair matrix
+     * and its statistics (memoized).
+     */
+    const sim::CoherenceProbeResult &coherenceProbe(workload::AppId app);
 
     /**
      * Pre-materialize the cached artifacts of @p app (traces and

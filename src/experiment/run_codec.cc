@@ -4,61 +4,13 @@
 
 namespace tsp::experiment::codec {
 
-namespace {
-
-void
-writeSummary(ByteWriter &w, const stats::Summary &s)
-{
-    w.u64(s.count());
-    w.f64(s.mean());
-    w.f64(s.rawM2());
-    w.f64(s.min());
-    w.f64(s.max());
-}
-
-stats::Summary
-readSummary(ByteReader &r)
-{
-    uint64_t count = r.u64();
-    double mean = r.f64();
-    double m2 = r.f64();
-    double min = r.f64();
-    double max = r.f64();
-    return stats::Summary::fromState(count, mean, m2, min, max);
-}
-
-void
-writePairMatrix(ByteWriter &w, const stats::PairMatrix &m)
-{
-    w.u64(m.size());
-    for (size_t i = 0; i < m.size(); ++i)
-        for (size_t j = i + 1; j < m.size(); ++j)
-            w.f64(m.get(i, j));
-}
-
-stats::PairMatrix
-readPairMatrix(ByteReader &r)
-{
-    uint64_t n = r.u64();
-    // 8 bytes per upper-triangle cell must fit in the remaining
-    // payload; ByteReader::raw enforces it cell by cell, so a corrupt
-    // size fails fast instead of allocating.
-    util::fatalIf(n > 4096, "serialized pair matrix unreasonably large");
-    stats::PairMatrix m(static_cast<size_t>(n));
-    for (size_t i = 0; i < m.size(); ++i)
-        for (size_t j = i + 1; j < m.size(); ++j) {
-            double v = r.f64();
-            if (v != 0.0)
-                m.set(i, j, v);
-        }
-    return m;
-}
-
-} // namespace
-
 void
 writeRunResult(ByteWriter &w, const RunResult &result)
 {
+    const sim::SimStats &stats = result.stats;
+    util::panicIf(stats.profiledSharing,
+                  "the run-result codec does not carry a sharing "
+                  "profile");
     const auto &assign = result.placement.assignment();
     w.u32(result.placement.processors());
     w.u64(assign.size());
@@ -68,7 +20,6 @@ writeRunResult(ByteWriter &w, const RunResult &result)
     w.u64(result.executionTime);
     w.f64(result.loadImbalance);
 
-    const sim::SimStats &stats = result.stats;
     w.u64(stats.procs.size());
     for (const auto &p : stats.procs) {
         w.u64(p.busyCycles);
@@ -87,19 +38,7 @@ writeRunResult(ByteWriter &w, const RunResult &result)
         w.u64(p.writebacks);
     }
 
-    writePairMatrix(w, stats.coherencePairs);
     w.u64(stats.sharingCompulsoryMisses);
-
-    w.u8(stats.profiledSharing ? 1 : 0);
-    const auto &prof = stats.sharingProfile;
-    w.u64(prof.privateBlocks);
-    w.u64(prof.sharedBlocks);
-    w.u64(prof.readOnlyShared);
-    w.u64(prof.migratoryShared);
-    w.u64(prof.otherShared);
-    writeSummary(w, prof.writeRunLength);
-    writeSummary(w, prof.readRunLength);
-
     w.u64(stats.networkTransactions);
     w.u64(stats.networkQueueingCycles);
     w.u64(stats.networkMaxQueueing);
@@ -150,19 +89,7 @@ readRunResult(ByteReader &r)
         p.writebacks = r.u64();
     }
 
-    stats.coherencePairs = readPairMatrix(r);
     stats.sharingCompulsoryMisses = r.u64();
-
-    stats.profiledSharing = r.u8() != 0;
-    auto &prof = stats.sharingProfile;
-    prof.privateBlocks = r.u64();
-    prof.sharedBlocks = r.u64();
-    prof.readOnlyShared = r.u64();
-    prof.migratoryShared = r.u64();
-    prof.otherShared = r.u64();
-    prof.writeRunLength = readSummary(r);
-    prof.readRunLength = readSummary(r);
-
     stats.networkTransactions = r.u64();
     stats.networkQueueingCycles = r.u64();
     stats.networkMaxQueueing = r.u64();

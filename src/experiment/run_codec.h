@@ -100,7 +100,14 @@ class ByteReader
     size_t pos_ = 0;
 };
 
-/** Serialize @p result (placement, stats, derived figures). */
+/**
+ * Serialize @p result: its placement, execution time and load
+ * imbalance, every per-processor counter and the machine-wide
+ * counters, so a record takes 100 + 4T + 128P bytes for T threads on
+ * P processors. A SimConfig::profileSharing run's write-run profile
+ * is not carried (no journaled or served cell profiles sharing);
+ * passing one panics rather than dropping it silently.
+ */
 void writeRunResult(ByteWriter &w, const RunResult &result);
 
 /**

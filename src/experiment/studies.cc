@@ -156,10 +156,10 @@ table4Row(Lab &lab, AppId app)
     row.staticPctOfRefs =
         100.0 * row.staticTotal / static_cast<double>(an.totalRefs());
 
-    const auto &dynStats = lab.coherenceStats(app);
-    auto dynSummary = dynStats.coherencePairs.pairSummary();
+    const sim::CoherenceProbeResult &probe = lab.coherenceProbe(app);
+    auto dynSummary = probe.pairs.pairSummary();
     row.dynamicTotal =
-        static_cast<double>(dynStats.dynamicSharingTraffic());
+        static_cast<double>(probe.stats.dynamicSharingTraffic());
     row.dynamicPctOfRefs = 100.0 * row.dynamicTotal /
                            static_cast<double>(an.totalRefs());
     row.dynamicPairDevPct = dynSummary.devPercent();

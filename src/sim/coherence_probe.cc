@@ -28,8 +28,8 @@ measureCoherenceTraffic(const trace::TraceSet &traces,
     placement::PlacementMap placement(cfg.processors,
                                       std::move(identity));
 
-    SimStats stats = simulate(cfg, traces, placement);
-    CoherenceProbeResult result{stats.coherencePairs, std::move(stats)};
+    CoherenceProbeResult result{stats::PairMatrix(t), {}};
+    result.stats = simulate(cfg, traces, placement, &result.pairs);
     return result;
 }
 

@@ -21,7 +21,10 @@ namespace tsp::sim {
 /** Output of the one-thread-per-processor measurement run. */
 struct CoherenceProbeResult
 {
-    /** Thread-pair coherence traffic + sharing compulsory misses. */
+    /**
+     * Thread-pair coherence traffic + sharing compulsory misses: the
+     * run's attribution sink, and the only place the matrix exists.
+     */
     stats::PairMatrix pairs;
 
     /** Full statistics of the measurement run. */

@@ -12,15 +12,20 @@
 namespace tsp::sim {
 
 Machine::Machine(const SimConfig &cfg, const trace::TraceSource &source,
-                 const placement::PlacementMap &placement)
+                 const placement::PlacementMap &placement,
+                 stats::PairMatrix *coherencePairs)
     : cfg_(cfg), source_(&source),
       directory_(cfg.processors, cfg.protocol),
-      interconnect_(cfg), events_(cfg.processors)
+      interconnect_(cfg), coherencePairs_(coherencePairs),
+      events_(cfg.processors)
 {
     cfg_.validate();
     const uint32_t threads = source.threadCount();
     util::fatalIf(placement.threadCount() != threads,
                   "placement and trace set disagree on thread count");
+    util::fatalIf(coherencePairs && coherencePairs->size() != threads,
+                  "coherence-pair sink and trace set disagree on "
+                  "thread count");
     util::fatalIf(placement.processors() != cfg_.processors,
                   "placement and config disagree on processor count");
     blockShift_ = util::log2Floor(cfg_.blockBytes);
@@ -32,7 +37,6 @@ Machine::Machine(const SimConfig &cfg, const trace::TraceSource &source,
         procs_[p].ctxs.resize(cfg_.contexts);
     }
     stats_.procs.resize(cfg_.processors);
-    stats_.coherencePairs = stats::PairMatrix(threads);
     scheduledAt_.assign(cfg_.processors, kNoEvent);
     framesPerCache_ = caches_[0].numFrames();
     frameDir_.assign(cfg_.processors * framesPerCache_, nullptr);
@@ -278,9 +282,7 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
     ++ps.misses[static_cast<size_t>(kind)];
     if (accessObserver_)
         accessObserver_(p, tid, block, isStore, false, kind);
-    if (writer >= 0 && static_cast<uint32_t>(writer) != tid)
-        stats_.coherencePairs.add(tid, static_cast<uint32_t>(writer),
-                                  1.0);
+    attribute(tid, writer);
 
     // Evict the current occupant (with a directory notification, so
     // sharer sets stay exact), through the entry handle cached when
@@ -349,11 +351,8 @@ Machine::access(uint32_t p, uint32_t tid, uint64_t block, bool isStore)
         // compulsory-miss component sharing-based placement hopes to
         // remove (Section 1).
         ++stats_.sharingCompulsoryMisses;
-        int32_t other = txn.prevLastWriter >= 0 ? txn.prevLastWriter
-                                                : txn.prevLastToucher;
-        if (other >= 0 && static_cast<uint32_t>(other) != tid)
-            stats_.coherencePairs.add(tid, static_cast<uint32_t>(other),
-                                      1.0);
+        attribute(tid, txn.prevLastWriter >= 0 ? txn.prevLastWriter
+                                               : txn.prevLastToucher);
     }
 
     frame.tag = block;
@@ -376,10 +375,7 @@ Machine::applyInvalidations(uint32_t causerProc, uint32_t causerTid,
                       "directory sharer does not hold the block");
         ++stats_.procs[causerProc].invalidationsSent;
         ++stats_.procs[v].invalidationsReceived;
-        if (static_cast<uint32_t>(resident) != causerTid)
-            stats_.coherencePairs.add(causerTid,
-                                      static_cast<uint32_t>(resident),
-                                      1.0);
+        attribute(causerTid, resident);
     });
 }
 
@@ -664,10 +660,11 @@ recordRunMetrics(const SimStats &stats, const Machine &machine,
 
 SimStats
 simulate(const SimConfig &cfg, const trace::TraceSource &source,
-         const placement::PlacementMap &placement)
+         const placement::PlacementMap &placement,
+         stats::PairMatrix *coherencePairs)
 {
     obs::StopWatch watch;
-    Machine machine(cfg, source, placement);
+    Machine machine(cfg, source, placement, coherencePairs);
     SimStats stats = machine.run();
     // Per-run aggregation at the simulate() boundary: one batch of
     // counter adds per run, zero accounting in the event loop.

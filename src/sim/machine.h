@@ -44,6 +44,7 @@
 #include "sim/l2_cache.h"
 #include "sim/results.h"
 #include "sim/sharing_monitor.h"
+#include "stats/pair_matrix.h"
 #include "trace/chunk_source.h"
 #include "trace/trace_set.h"
 #include "util/error.h"
@@ -62,9 +63,18 @@ class Machine
      *                  outlive the machine
      * @param placement thread -> processor map; processor count must
      *                  match @p cfg
+     * @param coherencePairs optional sink for the thread-pair
+     *                  coherence attribution of Section 4.2: every
+     *                  invalidation, invalidation miss and
+     *                  sharing-compulsory miss between two distinct
+     *                  threads adds 1 to their pair. Must be sized to
+     *                  the thread count and outlive the machine. Null
+     *                  skips the attribution; no SimStats field
+     *                  depends on it.
      */
     Machine(const SimConfig &cfg, const trace::TraceSource &source,
-            const placement::PlacementMap &placement);
+            const placement::PlacementMap &placement,
+            stats::PairMatrix *coherencePairs = nullptr);
 
     /**
      * Observer invoked on every data reference, in the exact global
@@ -225,6 +235,19 @@ class Machine
     void backInvalidateL1s(uint64_t vblock, bool l2Dirty,
                            uint32_t causerTid);
 
+    /**
+     * Attribute one coherence event of thread @p tid to the pair
+     * (@p tid, @p other), when a sink is attached and @p other is
+     * another thread (negative: no thread).
+     */
+    void
+    attribute(uint32_t tid, int32_t other)
+    {
+        if (coherencePairs_ && other >= 0 &&
+            static_cast<uint32_t>(other) != tid)
+            coherencePairs_->add(tid, static_cast<uint32_t>(other), 1.0);
+    }
+
     /** Record a barrier arrival; releases everyone on the last one. */
     void barrierArrive(uint32_t p, size_t c, uint64_t now);
 
@@ -273,6 +296,7 @@ class Machine
     // the flat default reproduces wait-free memoryLatency exactly.
     uint32_t missFillCycles_ = 0;
     std::optional<SharingMonitor> monitor_;
+    stats::PairMatrix *coherencePairs_;  //!< attribution sink, or null
     AccessObserver accessObserver_;
     SimStats stats_;
     bool started_ = false;   //!< first advance()/run() happened
@@ -307,9 +331,13 @@ class Machine
     std::vector<std::pair<uint32_t, uint32_t>> barrierWaiters_;
 };
 
-/** Convenience wrapper: construct a Machine and run it. */
+/**
+ * Convenience wrapper: construct a Machine and run it. Only the
+ * coherence probe (sim/coherence_probe.h) passes @p coherencePairs.
+ */
 SimStats simulate(const SimConfig &cfg, const trace::TraceSource &source,
-                  const placement::PlacementMap &placement);
+                  const placement::PlacementMap &placement,
+                  stats::PairMatrix *coherencePairs = nullptr);
 
 /**
  * simulate() over the single lane of a SharedTraceStream fed by

@@ -1,7 +1,10 @@
 /**
  * @file
  * Simulation statistics: per-processor cycle and miss accounting plus
- * the dynamically measured coherence traffic of Section 4.2.
+ * the machine-wide coherence, interconnect and L2 counters. The
+ * per-thread-pair split of the coherence traffic (Section 4.2) is not
+ * a statistic of every run: only the coherence probe asks for it, as
+ * a sink handed to sim::simulate (sim/machine.h).
  */
 
 #ifndef TSP_SIM_RESULTS_H
@@ -14,7 +17,6 @@
 #include <vector>
 
 #include "sim/sharing_monitor.h"
-#include "stats/pair_matrix.h"
 
 namespace tsp::sim {
 
@@ -83,13 +85,6 @@ struct ProcessorStats
 struct SimStats
 {
     std::vector<ProcessorStats> procs;
-
-    /**
-     * Thread-pair coherence traffic: invalidations, invalidation
-     * misses and sharing-compulsory misses attributed to thread pairs.
-     * This matrix feeds the COHERENCE-TRAFFIC placement algorithm.
-     */
-    stats::PairMatrix coherencePairs;
 
     /** Compulsory misses whose block was first touched remotely. */
     uint64_t sharingCompulsoryMisses = 0;

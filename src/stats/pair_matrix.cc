@@ -50,16 +50,6 @@ PairMatrix::total() const
 }
 
 double
-PairMatrix::rowSum(size_t i) const
-{
-    double sum = 0.0;
-    for (size_t j = 0; j < n_; ++j)
-        if (j != i)
-            sum += get(i, j);
-    return sum;
-}
-
-double
 PairMatrix::crossSum(const std::vector<uint32_t> &groupA,
                      const std::vector<uint32_t> &groupB) const
 {
@@ -87,14 +77,6 @@ PairMatrix::pairSummary() const
     for (double c : cells_)
         s.add(c);
     return s;
-}
-
-void
-PairMatrix::merge(const PairMatrix &other)
-{
-    util::fatalIf(other.n_ != n_, "PairMatrix size mismatch in merge");
-    for (size_t k = 0; k < cells_.size(); ++k)
-        cells_[k] += other.cells_[k];
 }
 
 } // namespace tsp::stats

@@ -44,9 +44,6 @@ class PairMatrix
     /** Sum over all unordered pairs. */
     double total() const;
 
-    /** Sum of row @p i (pairings of i with every other item). */
-    double rowSum(size_t i) const;
-
     /**
      * Sum of values over all pairs (a, b) with a in @p groupA and
      * b in @p groupB. The groups must be disjoint.
@@ -59,9 +56,6 @@ class PairMatrix
 
     /** Summary over all unordered-pair values (mean, Dev%, etc.). */
     Summary pairSummary() const;
-
-    /** Element-wise addition; other must have the same size. */
-    void merge(const PairMatrix &other);
 
   private:
     size_t index(size_t i, size_t j) const;

@@ -66,19 +66,6 @@ Summary::merge(const Summary &other)
 }
 
 Summary
-Summary::fromState(uint64_t count, double mean, double m2, double min,
-                   double max)
-{
-    Summary s;
-    s.count_ = count;
-    s.mean_ = mean;
-    s.m2_ = m2;
-    s.min_ = min;
-    s.max_ = max;
-    return s;
-}
-
-Summary
 summarize(const std::vector<double> &xs)
 {
     Summary s;

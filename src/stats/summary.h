@@ -62,17 +62,6 @@ class Summary
     /** Merge another summary into this one. */
     void merge(const Summary &other);
 
-    /**
-     * Raw second central moment of the Welford accumulator — with
-     * count(), mean(), min() and max() this is the full serializable
-     * state (used by the experiment checkpoint journal).
-     */
-    double rawM2() const { return m2_; }
-
-    /** Reconstruct a summary from its raw accumulator state. */
-    static Summary fromState(uint64_t count, double mean, double m2,
-                             double min, double max);
-
   private:
     uint64_t count_ = 0;
     double mean_ = 0.0;

@@ -181,14 +181,16 @@ Client::attemptOnce(const std::string &submitFrame,
         } else if (frame->type == wire::FrameType::Reject) {
             wire::Reject reject = wire::decodeReject(frame->payload);
             if (reject.code == wire::RejectCode::Shed ||
-                reject.code == wire::RejectCode::Draining) {
-                // A healthy server refusing: definitive, no retry.
+                reject.code == wire::RejectCode::Draining ||
+                reject.code == wire::RejectCode::Internal) {
+                // A healthy server refusing, or unable to answer this
+                // deterministic study at all: definitive, no retry.
                 result.rejected = true;
                 result.rejection = reject.reason;
                 return result;
             }
-            // Capacity / Malformed / Internal: transient transport
-            // trouble from this client's perspective — retry.
+            // Capacity / Malformed: transient transport trouble from
+            // this client's perspective — retry.
             transport("server rejected the connection: " +
                       wire::rejectCodeName(reject.code) + " (" +
                       reject.reason + ")");

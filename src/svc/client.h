@@ -15,9 +15,10 @@
  *
  * Progress frames reset the receive deadline: a server that is alive
  * and heartbeating cell i/N is *slow*, and only a silent one is
- * *dead*. A server-side Reject(Shed/Draining) is a definitive answer
- * (the server is healthy and refusing), reported without burning
- * transport retries; everything else — refused connects, timeouts,
+ * *dead*. A server-side Reject(Shed/Draining/Internal) is a
+ * definitive answer (the server is healthy and refusing, or cannot
+ * answer the study at all, as when its response exceeds the frame
+ * cap), reported without burning transport retries; everything else — refused connects, timeouts,
  * torn streams, malformed answers — is a transport failure and
  * retried. A client that exhausts its budget reports !alive() so the
  * caller can degrade to a local in-process run.
@@ -70,8 +71,8 @@ class Client
         /** The server delivered a Response frame. */
         bool answered = false;
 
-        /** The server answered Reject(Shed/Draining) — healthy but
-         *  refusing; retrying immediately is pointless. */
+        /** The server answered Reject(Shed/Draining/Internal) —
+         *  healthy but refusing; retrying immediately is pointless. */
         bool rejected = false;
         std::string rejection;
 

@@ -82,6 +82,23 @@ struct Server::Mailbox
         frames.push_back(std::move(frame));
         return true;
     }
+
+    /**
+     * post() a submitted study's final frame and retire the study
+     * from inFlight under the same lock, so the poll thread never sees
+     * the study gone before its answer is queued.
+     */
+    bool
+    answer(std::string frame)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (inFlight > 0)
+            --inFlight;
+        if (!open)
+            return false;
+        frames.push_back(std::move(frame));
+        return true;
+    }
 };
 
 struct Server::Connection
@@ -318,15 +335,22 @@ Server::handleFrame(Connection &conn, const wire::Frame &frame)
     };
     request.onComplete = [this,
                           mailbox](const StudyResponse &response) {
-        bool posted = mailbox->post(wire::encodeFrame(
-            wire::FrameType::Response,
-            wire::encodeResponse(response)));
-        {
-            std::lock_guard<std::mutex> lock(mailbox->mutex);
-            if (mailbox->inFlight > 0)
-                --mailbox->inFlight;
+        // A response that cannot be framed (above kMaxPayloadBytes)
+        // is answered Reject(Internal) with the reason: the study is
+        // deterministic, so a reissue would only fail the same way.
+        std::string frame;
+        try {
+            frame = wire::encodeFrame(wire::FrameType::Response,
+                                      wire::encodeResponse(response));
+        } catch (const std::exception &e) {
+            frame = wire::encodeFrame(
+                wire::FrameType::Reject,
+                wire::encodeReject(wire::RejectCode::Internal,
+                                   std::string("cannot send the "
+                                               "response: ") +
+                                       e.what()));
         }
-        if (posted)
+        if (mailbox->answer(std::move(frame)))
             wake();
     };
 
@@ -336,12 +360,7 @@ Server::handleFrame(Connection &conn, const wire::Frame &frame)
     }
     SubmitResult submitted = daemon_.submit(std::move(request));
     if (!submitted.admitted()) {
-        {
-            std::lock_guard<std::mutex> lock(mailbox->mutex);
-            if (mailbox->inFlight > 0)
-                --mailbox->inFlight;
-        }
-        mailbox->post(wire::encodeFrame(
+        mailbox->answer(wire::encodeFrame(
             wire::FrameType::Reject,
             wire::encodeReject(wire::RejectCode::Shed,
                                submitted.rejection)));

@@ -5,6 +5,7 @@
 #include "experiment/run_codec.h"
 #include "util/checksum.h"
 #include "util/error.h"
+#include "util/logging.h"
 
 namespace tsp::svc::wire {
 
@@ -89,7 +90,9 @@ std::string
 encodeFrame(FrameType type, std::string_view payload)
 {
     util::fatalIf(payload.size() > kMaxPayloadBytes,
-                  "wire frame payload exceeds the protocol cap");
+                  util::concat("wire frame payload of ", payload.size(),
+                               " bytes exceeds the protocol cap of ",
+                               kMaxPayloadBytes, " bytes"));
     codec::ByteWriter w;
     w.raw(kMagic, sizeof(kMagic));
     w.u8(kVersion);

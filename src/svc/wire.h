@@ -37,8 +37,11 @@
 
 namespace tsp::svc::wire {
 
-/** Protocol version; bumped on any frame or payload layout change. */
-constexpr uint8_t kVersion = 1;
+/**
+ * Protocol version; bumped on any frame or payload layout change (2:
+ * Response outcomes carry the TSPS v3 RunResult codec).
+ */
+constexpr uint8_t kVersion = 2;
 
 /** Frame header bytes (magic, version, type, reserved, len, crc). */
 constexpr size_t kHeaderBytes = 16;
@@ -69,7 +72,8 @@ enum class RejectCode : uint8_t {
     Capacity = 2,   //!< connection limit reached; try again later
     Malformed = 3,  //!< the received bytes were not a valid frame
     Draining = 4,   //!< the server is draining for shutdown
-    Internal = 5,   //!< contained server-side failure
+    Internal = 5,   //!< the server cannot answer this request, e.g.
+                    //!< its response exceeds kMaxPayloadBytes
 };
 
 /** Lowercase reject-code name, e.g. "malformed". */

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests of experiment::Checkpoint as a sweep's journal: bit-identical
- * replay, idempotent records, scale binding and foreign-file
- * rejection, torn-tail recovery and in-place truncation, corrupt
- * records, resume after a failed append, and end-to-end sweep resume
- * running only the missing cells. The same store serving the daemon
+ * replay, idempotent records, scale binding, foreign-file and
+ * older-version rejection, torn-tail recovery and in-place
+ * truncation, corrupt records, resume after a failed append, and
+ * end-to-end sweep resume running only the missing cells. The same store serving the daemon
  * and shared between processes is tested in svc_store_test.
  */
 
@@ -94,6 +94,26 @@ TEST(Checkpoint, ForeignFileIsFatalAndNamed)
     } catch (const util::FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
             << e.what();
+    }
+}
+
+TEST(Checkpoint, OlderVersionIsFatalAndNamed)
+{
+    // A TSPS v2 store (its records carry the thread-pair matrix) is
+    // refused, not read: deleting it recomputes its cells.
+    std::string path = tempStore("v2");
+    codec::ByteWriter v2;
+    v2.raw("TSPS", 4);
+    v2.u32(2);
+    v2.u32(kScale);
+    writeFile(path, v2.bytes());
+    try {
+        Checkpoint store(path, kScale);
+        ADD_FAILURE() << "a TSPS v2 store opened";
+    } catch (const util::FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("version 2"), std::string::npos) << what;
     }
 }
 

@@ -95,7 +95,6 @@ std::string
 statsFingerprint(const SimStats &s)
 {
     std::ostringstream os;
-    os.precision(17);  // coherence-pair rates are doubles
     os << "t=" << s.executionTime() << '\n';
     for (size_t i = 0; i < s.procs.size(); ++i) {
         const ProcessorStats &p = s.procs[i];
@@ -108,12 +107,7 @@ statsFingerprint(const SimStats &s)
         os << ' ' << p.upgrades << ' ' << p.invalidationsSent << ' '
            << p.invalidationsReceived << ' ' << p.writebacks << '\n';
     }
-    os << "pairs";
-    for (size_t i = 0; i < s.coherencePairs.size(); ++i) {
-        for (size_t j = 0; j < s.coherencePairs.size(); ++j)
-            os << ' ' << s.coherencePairs.get(i, j);
-    }
-    os << "\nshc=" << s.sharingCompulsoryMisses
+    os << "shc=" << s.sharingCompulsoryMisses
        << " net=" << s.networkTransactions << '/'
        << s.networkQueueingCycles << '/' << s.networkMaxQueueing
        << '\n';

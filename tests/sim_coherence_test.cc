@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the coherence-traffic probe (Section 4.2): one thread per
- * processor, thread-pair attribution, and the static-vs-dynamic gap on
- * workloads with sequential sharing.
+ * processor, thread-pair attribution, the static-vs-dynamic gap on
+ * workloads with sequential sharing, and attribution as pure
+ * observation (a run with the pair sink reports what one without it
+ * does).
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/static_analysis.h"
+#include "core/placement_map.h"
+#include "experiment/configs.h"
 #include "sim/coherence_probe.h"
+#include "sim/machine.h"
 #include "trace/address_space.h"
 #include "trace/trace_set.h"
 #include "util/error.h"
@@ -145,6 +150,100 @@ TEST(CoherenceProbe, PairsFeedTotalConsistently)
     EXPECT_LE(probe.pairs.total(),
               static_cast<double>(
                   probe.stats.dynamicSharingTraffic()));
+}
+
+/** Every SimStats field of @p a equals @p b's. */
+void
+expectSameStats(const SimStats &a, const SimStats &b)
+{
+    ASSERT_EQ(a.procs.size(), b.procs.size());
+    for (size_t p = 0; p < a.procs.size(); ++p) {
+        SCOPED_TRACE(testing::Message() << "proc " << p);
+        const ProcessorStats &x = a.procs[p];
+        const ProcessorStats &y = b.procs[p];
+        EXPECT_EQ(x.busyCycles, y.busyCycles);
+        EXPECT_EQ(x.switchCycles, y.switchCycles);
+        EXPECT_EQ(x.idleCycles, y.idleCycles);
+        EXPECT_EQ(x.finishTime, y.finishTime);
+        EXPECT_EQ(x.barrierCycles, y.barrierCycles);
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.memRefs, y.memRefs);
+        EXPECT_EQ(x.hits, y.hits);
+        EXPECT_EQ(x.misses, y.misses);
+        EXPECT_EQ(x.upgrades, y.upgrades);
+        EXPECT_EQ(x.invalidationsSent, y.invalidationsSent);
+        EXPECT_EQ(x.invalidationsReceived, y.invalidationsReceived);
+        EXPECT_EQ(x.writebacks, y.writebacks);
+    }
+    EXPECT_EQ(a.sharingCompulsoryMisses, b.sharingCompulsoryMisses);
+    EXPECT_EQ(a.profiledSharing, b.profiledSharing);
+    const SharingProfile &pa = a.sharingProfile;
+    const SharingProfile &pb = b.sharingProfile;
+    EXPECT_EQ(pa.privateBlocks, pb.privateBlocks);
+    EXPECT_EQ(pa.sharedBlocks, pb.sharedBlocks);
+    EXPECT_EQ(pa.readOnlyShared, pb.readOnlyShared);
+    EXPECT_EQ(pa.migratoryShared, pb.migratoryShared);
+    EXPECT_EQ(pa.otherShared, pb.otherShared);
+    EXPECT_EQ(pa.writeRunLength.count(), pb.writeRunLength.count());
+    EXPECT_EQ(pa.writeRunLength.mean(), pb.writeRunLength.mean());
+    EXPECT_EQ(pa.readRunLength.count(), pb.readRunLength.count());
+    EXPECT_EQ(pa.readRunLength.mean(), pb.readRunLength.mean());
+    EXPECT_EQ(a.networkTransactions, b.networkTransactions);
+    EXPECT_EQ(a.networkQueueingCycles, b.networkQueueingCycles);
+    EXPECT_EQ(a.networkMaxQueueing, b.networkMaxQueueing);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
+    EXPECT_EQ(a.l2BackInvalidations, b.l2BackInvalidations);
+}
+
+TEST(CoherenceProbe, AttributionIsObservationOnly)
+{
+    // One multithreaded cell (8 threads on 4 processors x 2 contexts)
+    // under every memory system, with and without the pair sink.
+    workload::AppProfile p;
+    p.name = "observe";
+    p.threads = 8;
+    p.meanLength = 20000;
+    p.sharedRefFrac = 0.5;
+    p.refsPerSharedAddr = 10.0;
+    p.globalFrac = 1.0;
+    p.globalWriteMode = workload::GlobalWriteMode::Migratory;
+    p.seed = 13;
+    auto traces = workload::generateTraces(p, 1);
+    const placement::PlacementMap placement(4, {0, 1, 2, 3, 0, 1, 2, 3});
+
+    for (experiment::MemSystem ms : experiment::allMemSystems()) {
+        SCOPED_TRACE(experiment::memSystemName(ms));
+        SimConfig cfg = probeBase();
+        cfg.processors = 4;
+        cfg.contexts = 2;
+        cfg.profileSharing = true;
+        experiment::applyMemSystem(cfg, ms);
+
+        SimStats plain = simulate(cfg, traces, placement);
+        stats::PairMatrix pairs(traces.threadCount());
+        SimStats observed = simulate(cfg, traces, placement, &pairs);
+        EXPECT_GT(pairs.total(), 0.0);
+        expectSameStats(plain, observed);
+    }
+}
+
+TEST(CoherenceProbe, MissizedSinkIsFatal)
+{
+    TraceSet ts("two");
+    for (uint32_t i = 0; i < 2; ++i) {
+        ThreadTrace t(i);
+        t.appendWork(10);
+        ts.addThread(std::move(t));
+    }
+    SimConfig cfg = probeBase();
+    cfg.processors = 2;
+    cfg.contexts = 1;
+    stats::PairMatrix pairs(3);
+    EXPECT_THROW(simulate(cfg, ts, placement::PlacementMap(2, {0, 1}),
+                          &pairs),
+                 util::FatalError);
 }
 
 } // namespace

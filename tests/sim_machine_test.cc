@@ -119,10 +119,11 @@ TEST(Machine, ReadAfterRemoteWriteDowngradesAndAttributes)
     ts.addThread(std::move(t0));
     ts.addThread(std::move(t1));
 
-    SimStats s =
-        simulate(baseConfig(2, 1), ts, PlacementMap(2, {0, 1}));
+    stats::PairMatrix pairs(2);
+    SimStats s = simulate(baseConfig(2, 1), ts,
+                          PlacementMap(2, {0, 1}), &pairs);
     EXPECT_EQ(s.sharingCompulsoryMisses, 1u);
-    EXPECT_DOUBLE_EQ(s.coherencePairs.get(0, 1), 1.0);
+    EXPECT_DOUBLE_EQ(pairs.get(0, 1), 1.0);
     EXPECT_EQ(s.procs[0].writebacks, 1u);  // M -> S downgrade
     EXPECT_EQ(s.procs[1].hits, 1u);
     EXPECT_EQ(s.totalInvalidationsSent(), 0u);
@@ -146,14 +147,15 @@ TEST(Machine, RemoteWriteCausesInvalidationMiss)
     ts.addThread(std::move(t0));
     ts.addThread(std::move(t1));
 
-    SimStats s =
-        simulate(baseConfig(2, 1), ts, PlacementMap(2, {0, 1}));
+    stats::PairMatrix pairs(2);
+    SimStats s = simulate(baseConfig(2, 1), ts,
+                          PlacementMap(2, {0, 1}), &pairs);
     EXPECT_EQ(s.totalMissCount(MissKind::Invalidation), 1u);
     EXPECT_EQ(s.totalInvalidationsSent(), 1u);
     EXPECT_EQ(s.procs[1].invalidationsSent, 1u);
     EXPECT_EQ(s.procs[0].invalidationsReceived, 1u);
     EXPECT_EQ(s.sharingCompulsoryMisses, 1u);
-    EXPECT_DOUBLE_EQ(s.coherencePairs.get(0, 1), 3.0);
+    EXPECT_DOUBLE_EQ(pairs.get(0, 1), 3.0);
     EXPECT_EQ(s.procs[1].writebacks, 1u);  // downgrade at t0's re-read
     EXPECT_EQ(s.executionTime(), 261u);
     EXPECT_EQ(s.dynamicSharingTraffic(), 3u);

@@ -113,11 +113,11 @@ feed64(uint32_t &crc, uint64_t v)
 
 /**
  * CRC over a whole SimStats: every per-processor counter (including
- * barrier cycles), the machine-wide counters, and the thread-pair
- * coherence matrix in row-major upper-triangle order.
+ * barrier cycles) and the machine-wide counters, then the run's
+ * thread-pair coherence sink in row-major upper-triangle order.
  */
 uint32_t
-statsDigest(const SimStats &s)
+statsDigest(const SimStats &s, const stats::PairMatrix &pairs)
 {
     uint32_t crc = 0;
     for (const ProcessorStats &ps : s.procs) {
@@ -135,11 +135,10 @@ statsDigest(const SimStats &s)
           s.networkQueueingCycles, s.networkMaxQueueing, s.l2Hits,
           s.l2Misses, s.l2Writebacks, s.l2BackInvalidations})
         feed64(crc, v);
-    const size_t n = s.coherencePairs.size();
+    const size_t n = pairs.size();
     for (size_t i = 0; i < n; ++i) {
         for (size_t j = i + 1; j < n; ++j)
-            feed64(crc,
-                   std::bit_cast<uint64_t>(s.coherencePairs.get(i, j)));
+            feed64(crc, std::bit_cast<uint64_t>(pairs.get(i, j)));
     }
     return crc;
 }
@@ -160,7 +159,8 @@ struct WideDigest
 // leaves to 256), 256 and 1024 processors under every memory system,
 // free-running and with barriers (every barrier release reschedules
 // processors mid-chain), plus the folded 128x2 shape of the wide
-// sampled study. Recorded with the linear argmin-scan event loop.
+// sampled study. Recorded with the linear argmin-scan event loop, when
+// every run attributed thread pairs; the runs here attach the sink.
 TEST(SimScale, WideMachineDigests)
 {
     using experiment::MemSystem;
@@ -206,15 +206,19 @@ TEST(SimScale, WideMachineDigests)
         std::vector<uint32_t> assign(threads);
         for (uint32_t t = 0; t < threads; ++t)
             assign[t] = t % d.procs;
+        // simulateStreaming() over a sink: one lane, default windows.
         workload::AppStreamFactory factory(p, /*scale=*/1);
-        SimStats stats = simulateStreaming(
-            cfg, factory, PlacementMap(d.procs, std::move(assign)));
+        trace::SharedTraceStream stream(factory, /*lanes=*/1);
+        stats::PairMatrix pairs(threads);
+        SimStats stats =
+            simulate(cfg, stream.lane(0),
+                     PlacementMap(d.procs, std::move(assign)), &pairs);
         EXPECT_GT(stats.totalMemRefs(), 0u);
         if (d.barriers) {
             EXPECT_GT(stats.procs[0].barrierCycles, 0u);
         }
-        EXPECT_EQ(statsDigest(stats), d.crc)
-            << std::hex << "0x" << statsDigest(stats);
+        EXPECT_EQ(statsDigest(stats, pairs), d.crc)
+            << std::hex << "0x" << statsDigest(stats, pairs);
     }
 }
 

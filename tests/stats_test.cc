@@ -126,16 +126,13 @@ TEST(PairMatrix, OutOfRangePanics)
     EXPECT_THROW(m.get(0, 3), util::PanicError);
 }
 
-TEST(PairMatrix, TotalAndRowSum)
+TEST(PairMatrix, Total)
 {
     PairMatrix m(3);
     m.set(0, 1, 1.0);
     m.set(0, 2, 2.0);
     m.set(1, 2, 4.0);
     EXPECT_DOUBLE_EQ(m.total(), 7.0);
-    EXPECT_DOUBLE_EQ(m.rowSum(0), 3.0);
-    EXPECT_DOUBLE_EQ(m.rowSum(1), 5.0);
-    EXPECT_DOUBLE_EQ(m.rowSum(2), 6.0);
 }
 
 TEST(PairMatrix, CrossAndWithinSums)
@@ -172,23 +169,6 @@ TEST(PairMatrix, PairSummaryCountsAllPairs)
     auto s = m.pairSummary();
     EXPECT_EQ(s.count(), 6u);  // C(4,2)
     EXPECT_DOUBLE_EQ(s.mean(), 1.0);
-}
-
-TEST(PairMatrix, MergeAddsElementwise)
-{
-    PairMatrix a(3), b(3);
-    a.set(0, 1, 1.0);
-    b.set(0, 1, 2.0);
-    b.set(1, 2, 3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get(0, 1), 3.0);
-    EXPECT_DOUBLE_EQ(a.get(1, 2), 3.0);
-}
-
-TEST(PairMatrix, MergeSizeMismatchIsFatal)
-{
-    PairMatrix a(3), b(4);
-    EXPECT_THROW(a.merge(b), util::FatalError);
 }
 
 TEST(PairMatrix, SizeZeroAndOneAreEmptyButValid)

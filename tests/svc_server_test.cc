@@ -4,7 +4,8 @@
  * svc::Client over svc::wire): socket answers bit-identical to direct
  * Daemon::submit, ordered progress streaming, capacity shedding at
  * accept, slow-loris and idle reaping, malformed-stream containment,
- * drain semantics, loadgen digest parity between socket and
+ * drain semantics, an over-cap response answered by a reject,
+ * loadgen digest parity between socket and
  * in-process modes (including under injected net.read faults), and
  * graceful degradation to local runs when the transport stays dead.
  */
@@ -329,6 +330,38 @@ TEST(SvcServer, DrainingRejectsNewSubmitsDefinitively)
     EXPECT_FALSE(got.answered);
     EXPECT_TRUE(got.rejected);
     EXPECT_EQ(got.attempts, 1u);
+    server.stop();
+    daemon.drain();
+}
+
+TEST(SvcServer, OversizedResponseDrawsInternalRejectNotATimeout)
+{
+    // kMaxJobs copies of one Gauss 16-processor cell run as one
+    // simulation, but their outcomes come to about 10.9 MB, past the
+    // 8 MiB frame cap. The server must answer Reject(Internal) naming
+    // the cap, and the client must take it as definitive rather than
+    // wait out its receive timeout.
+    Daemon::Config config = daemonConfig();
+    Daemon daemon(config);
+    Server server(daemon, {});
+    Client::Config clientConfig = clientFor(server);
+    clientConfig.recvTimeout = 20s;
+    Client client(clientConfig);
+
+    const RunJob cell{workload::AppId::Gauss,
+                      placement::Algorithm::LoadBal,
+                      MachinePoint{16, 8}, false};
+    auto start = std::chrono::steady_clock::now();
+    Client::Result got =
+        client.submit(study(std::vector<RunJob>(wire::kMaxJobs, cell)));
+    auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(got.answered);
+    ASSERT_TRUE(got.rejected);
+    EXPECT_EQ(got.attempts, 1u);
+    EXPECT_NE(got.rejection.find("protocol cap of 8388608 bytes"),
+              std::string::npos)
+        << got.rejection;
+    EXPECT_LT(elapsed, clientConfig.recvTimeout / 4);
     server.stop();
     daemon.drain();
 }

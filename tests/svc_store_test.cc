@@ -49,7 +49,7 @@ bytesWritten()
     return std::nullopt;
 }
 
-TEST(Store, WritesTheTspsV2LayoutByteForByte)
+TEST(Store, WritesTheTspsV3LayoutByteForByte)
 {
     std::string path = tempStore("layout");
     RunJob job = jobAt(Algorithm::LoadBal, 4);
@@ -74,10 +74,17 @@ TEST(Store, WritesTheTspsV2LayoutByteForByte)
     payload.u32(static_cast<uint32_t>(key.bytes().size()));
     payload.raw(key.bytes().data(), key.bytes().size());
     codec::writeRunResult(payload, result);
+    // docs/service.md's record size: O(T + P) for T threads on P
+    // processors, with no thread-pair term.
+    const size_t threads = result.placement.threadCount();
+    const size_t procs = result.stats.procs.size();
+    EXPECT_EQ(payload.bytes().size(),
+              8 + 4 + key.bytes().size() + 100 + 4 * threads +
+                  128 * procs);
 
     codec::ByteWriter image;
     image.raw("TSPS", 4);
-    image.u32(2);
+    image.u32(3);
     image.u32(kScale);
     image.u32(static_cast<uint32_t>(payload.bytes().size()));
     image.u32(util::crc32(payload.bytes()));
