@@ -121,9 +121,9 @@ Lab::configFor(AppId app, const MachinePoint &point,
 }
 
 placement::PlacementMap
-Lab::placementWith(const analysis::StaticAnalysis &an, AppId app,
-                   Algorithm alg, uint32_t processors)
+Lab::placementFor(AppId app, Algorithm alg, uint32_t processors)
 {
+    const analysis::StaticAnalysis &an = analysis(app);
     // Deterministic seed per (app, algorithm, processors).
     uint64_t seed = 0x51ed2701u;
     seed = seed * 1099511628211ull + static_cast<uint64_t>(app);
@@ -137,12 +137,6 @@ Lab::placementWith(const analysis::StaticAnalysis &an, AppId app,
     return placement::place(alg, an, processors, rng, coherence);
 }
 
-placement::PlacementMap
-Lab::placementFor(AppId app, Algorithm alg, uint32_t processors)
-{
-    return placementWith(analysis(app), app, alg, processors);
-}
-
 RunResult
 Lab::run(AppId app, Algorithm alg, const MachinePoint &point,
          bool infiniteCache, MemSystem memSystem)
@@ -152,16 +146,52 @@ Lab::run(AppId app, Algorithm alg, const MachinePoint &point,
     // placement algorithms ever see its processor count.
     sim::SimConfig cfg = configFor(app, point, infiniteCache,
                                    memSystem);
-    // One analysis lookup serves the placement, the load-imbalance
-    // figure and the thread lengths for the whole run.
-    const analysis::StaticAnalysis &an = analysis(app);
-    RunResult result;
-    result.placement = placementWith(an, app, alg, point.processors);
-    result.stats = sim::simulate(cfg, traces(app), result.placement);
-    result.executionTime = result.stats.executionTime();
-    result.loadImbalance =
-        result.placement.loadImbalance(an.threadLength());
-    return result;
+    placement::PlacementMap placement =
+        placementFor(app, alg, point.processors);
+    return std::move(
+        simulate(app, {{std::move(cfg), std::move(placement)}})
+            .front()
+            .value());
+}
+
+std::vector<Outcome<RunResult>>
+Lab::simulate(AppId app, std::vector<sim::BatchLane> machines)
+{
+    const trace::TraceSet &set = traces(app);
+    const std::vector<uint64_t> &lengths = threadLength(app);
+    auto result = [&](placement::PlacementMap placement,
+                      sim::SimStats stats) {
+        RunResult r;
+        r.executionTime = stats.executionTime();
+        r.loadImbalance = placement.loadImbalance(lengths);
+        r.placement = std::move(placement);
+        r.stats = std::move(stats);
+        return Outcome<RunResult>::success(std::move(r));
+    };
+
+    std::vector<Outcome<RunResult>> out;
+    out.reserve(machines.size());
+    if (machines.size() == 1) {
+        sim::BatchLane &machine = machines.front();
+        sim::SimStats stats =
+            sim::simulate(machine.cfg, set, machine.placement);
+        out.push_back(result(std::move(machine.placement),
+                             std::move(stats)));
+        return out;
+    }
+    std::vector<placement::PlacementMap> placements;
+    placements.reserve(machines.size());
+    for (const sim::BatchLane &machine : machines)
+        placements.push_back(machine.placement);
+    std::vector<sim::LaneResult> lanes =
+        sim::BatchMachine(std::move(machines), set).run();
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        out.push_back(lanes[i].ok
+                          ? result(std::move(placements[i]),
+                                   std::move(lanes[i].stats))
+                          : Outcome<RunResult>::failure(lanes[i].error));
+    }
+    return out;
 }
 
 } // namespace tsp::experiment

@@ -16,6 +16,8 @@
 #include "analysis/static_analysis.h"
 #include "core/algorithms.h"
 #include "experiment/configs.h"
+#include "experiment/outcome.h"
+#include "sim/batch_machine.h"
 #include "sim/coherence_probe.h"
 #include "sim/config.h"
 #include "sim/results.h"
@@ -144,6 +146,18 @@ class Lab
                   bool infiniteCache = false,
                   MemSystem memSystem = MemSystem::Flat1994);
 
+    /**
+     * Simulate @p app on each of @p machines (a configuration and a
+     * placement on it) and assemble each RunResult, in order. One
+     * machine runs through sim::simulate and its errors propagate;
+     * several run as the lanes of one lockstep sim::BatchMachine over
+     * the app's traces, where a lane that fails yields a failed
+     * Outcome of its own. run() and both of ParallelRunner's executor
+     * paths come through here.
+     */
+    std::vector<Outcome<RunResult>>
+    simulate(workload::AppId app, std::vector<sim::BatchLane> machines);
+
   private:
     /**
      * One lazily-initialized cache slot. The map node (and so the
@@ -173,11 +187,6 @@ class Lab
         std::unique_lock<std::shared_mutex> lock(memoMutex_);
         return map[app];  // std::map nodes are reference-stable
     }
-
-    /** placementFor with the analysis lookup already done. */
-    placement::PlacementMap placementWith(
-        const analysis::StaticAnalysis &an, workload::AppId app,
-        placement::Algorithm alg, uint32_t processors);
 
     uint32_t scale_;
     std::shared_mutex memoMutex_;

@@ -12,7 +12,6 @@
 #include "obs/metric_defs.h"
 #include "obs/timer.h"
 #include "obs/trace_sink.h"
-#include "sim/batch_machine.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/watchdog.h"
@@ -29,6 +28,20 @@ jobKey(const RunJob &job)
             job.point.processors, job.point.contexts,
             job.infiniteCache, static_cast<int>(job.memSystem)};
 }
+
+/**
+ * Everything one simulation depends on: the application's trace, the
+ * machine's configuration and the placement's thread-to-processor
+ * map. Cells with equal keys have equal RunResults.
+ */
+struct MachineKey
+{
+    workload::AppId app{};
+    sim::SimConfig cfg;
+    std::vector<uint32_t> assignment;
+
+    auto operator<=>(const MachineKey &) const = default;
+};
 
 } // namespace
 
@@ -84,8 +97,9 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     stats_ = SweepStats{};
     stats_.total = jobs.size();
 
-    // Deduplicate: unique jobs simulate once, duplicates copy.
-    // nextCopy chains each input to the next input of the same job.
+    // First grouping step: identical jobs are one cell, answered once
+    // and copied. nextCopy chains each input to the next input of the
+    // same job.
     std::vector<size_t> uniqueOf(jobs.size());
     std::vector<size_t> nextCopy(jobs.size(), jobs.size());
     std::vector<size_t> uniqueJobs, lastCopy;
@@ -119,7 +133,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             options_.onCell(i, unique[u], wallMs);
     };
 
-    // Replay journaled cells; only the rest are simulated.
+    // Replay journaled cells; only the rest are answered fresh.
     std::vector<size_t> pending;
     pending.reserve(uniqueJobs.size());
     for (size_t u = 0; u < uniqueJobs.size(); ++u) {
@@ -135,6 +149,9 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         }
         pending.push_back(u);
     }
+    auto pendingJob = [&](size_t p) -> const RunJob & {
+        return jobs[uniqueJobs[pending[p]]];
+    };
 
     std::optional<util::Watchdog> watchdog;
     if (options_.jobDeadline.count() > 0)
@@ -148,41 +165,138 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     std::mutex panicMutex;
     std::atomic<size_t> cancelledCells{0};
 
-    // Group the pending cells: with batching on, up to options_.batch
-    // cells of one application become lanes of a single lockstep
-    // sim::BatchMachine over the app's shared traces. With batching
-    // off every group is a singleton, the classic one-cell-per-task
-    // shape. Results are bit-identical either way.
-    const size_t lanesPerBatch =
-        options_.batch > 1 ? options_.batch : 1;
-    std::vector<std::vector<size_t>> groups;
-    groups.reserve(pending.size());
-    if (lanesPerBatch <= 1) {
-        for (size_t u : pending)
-            groups.push_back({u});
-    } else {
-        std::map<int, std::vector<size_t>> open;  // app -> filling
-        for (size_t u : pending) {
-            auto &bucket =
-                open[static_cast<int>(jobs[uniqueJobs[u]].app)];
-            bucket.push_back(u);
-            if (bucket.size() >= lanesPerBatch) {
-                groups.push_back(std::move(bucket));
-                bucket.clear();
-            }
-        }
-        for (auto &[app, bucket] : open) {
-            if (!bucket.empty())
-                groups.push_back(std::move(bucket));
-        }
-    }
-
     auto notePanic = [&] {
         std::lock_guard<std::mutex> lock(panicMutex);
         if (!panic)
             panic = std::current_exception();
         panicked.store(true, std::memory_order_relaxed);
     };
+
+    auto cancelled = [&] {
+        return options_.cancel && options_.cancel->cancelled();
+    };
+
+    // Poison stays descriptive: the cell reports *why* it has no
+    // result, and a resume with the same checkpoint re-runs exactly
+    // these cells.
+    auto cancelCell = [&](size_t p) {
+        unique[pending[p]] =
+            Outcome<RunResult>::failure(options_.cancel->reason());
+        cancelledCells.fetch_add(1, std::memory_order_relaxed);
+        settle(pending[p], 0.0);
+    };
+
+    // Prepare every pending cell at the sweep width: the chaos hook,
+    // the machine point's validation and the placement can each fail
+    // the cell alone. A placement is computed once per (app,
+    // algorithm, processors); a throw leaves its once-flag unset, so
+    // the next cell that needs it tries again.
+    struct PlacementSlot
+    {
+        std::once_flag once;
+        placement::PlacementMap map;
+    };
+    struct Prepared
+    {
+        bool ok = false;
+        sim::SimConfig cfg;
+        size_t slot = 0;
+    };
+    std::vector<Prepared> prepared(pending.size());
+    std::map<std::tuple<int, int, uint32_t>, size_t> slotOf;
+    for (size_t p = 0; p < pending.size(); ++p) {
+        const RunJob &job = pendingJob(p);
+        prepared[p].slot =
+            slotOf
+                .try_emplace({static_cast<int>(job.app),
+                              static_cast<int>(job.alg),
+                              job.point.processors},
+                             slotOf.size())
+                .first->second;
+    }
+    std::vector<PlacementSlot> slots(slotOf.size());
+    std::atomic<size_t> placements{0};
+
+    util::parallelFor(options_.jobs, pending.size(), [&](size_t p) {
+        if (panicked.load(std::memory_order_relaxed))
+            return;
+        if (cancelled()) {
+            cancelCell(p);
+            return;
+        }
+        const RunJob &job = pendingJob(p);
+        std::optional<util::Watchdog::Guard> guard;
+        if (watchdog)
+            guard.emplace(watchdog->watch(describeJob(job)));
+        Prepared &prep = prepared[p];
+        try {
+            if (options_.faultInjector)
+                options_.faultInjector(job);
+            prep.cfg = lab_.configFor(job.app, job.point,
+                                      job.infiniteCache, job.memSystem);
+            PlacementSlot &slot = slots[prep.slot];
+            std::call_once(slot.once, [&] {
+                slot.map = lab_.placementFor(job.app, job.alg,
+                                             job.point.processors);
+                placements.fetch_add(1, std::memory_order_relaxed);
+            });
+            prep.ok = true;
+        } catch (const util::PanicError &) {
+            notePanic();
+        } catch (const std::exception &e) {
+            unique[pending[p]] = Outcome<RunResult>::failure(e.what());
+            settle(pending[p], 0.0);
+        }
+    });
+
+    if (panic)
+        std::rethrow_exception(panic);
+
+    // Second grouping step: prepared cells with the same trace,
+    // configuration and placement are one machine, simulated once.
+    // Each machine lists its cells as positions in pending.
+    std::vector<std::vector<size_t>> machines;
+    {
+        std::map<MachineKey, size_t> machineOf;
+        for (size_t p = 0; p < pending.size(); ++p) {
+            if (!prepared[p].ok)
+                continue;
+            auto [it, inserted] = machineOf.try_emplace(
+                MachineKey{pendingJob(p).app, prepared[p].cfg,
+                           slots[prepared[p].slot].map.assignment()},
+                machines.size());
+            if (inserted)
+                machines.emplace_back();
+            machines[it->second].push_back(p);
+        }
+    }
+
+    // With batching on, up to options_.batch machines of one
+    // application become the lanes of one lockstep task over the
+    // app's shared traces; with batching off every machine is a task
+    // of its own. Results are bit-identical either way.
+    const size_t lanesPerTask = options_.batch > 1 ? options_.batch : 1;
+    std::vector<std::vector<size_t>> tasks;  // each task's machines
+    tasks.reserve(machines.size());
+    if (lanesPerTask == 1) {
+        for (size_t m = 0; m < machines.size(); ++m)
+            tasks.push_back({m});
+    } else {
+        std::map<int, std::vector<size_t>> open;  // app -> filling
+        for (size_t m = 0; m < machines.size(); ++m) {
+            auto &bucket = open[static_cast<int>(
+                pendingJob(machines[m].front()).app)];
+            bucket.push_back(m);
+            if (bucket.size() >= lanesPerTask) {
+                tasks.push_back(std::move(bucket));
+                bucket.clear();
+            }
+        }
+        for (auto &[app, bucket] : open) {
+            if (!bucket.empty())
+                tasks.push_back(std::move(bucket));
+        }
+    }
 
     auto journal = [&](const RunJob &job, const RunResult &result) {
         if (!options_.checkpoint)
@@ -199,166 +313,86 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         }
     };
 
-    auto sinkCell = [&](const RunJob &job, double cellMs) {
-        obs::sweepCellMillis().observe(cellMs);
-        if (obs::TraceSink *sink = obs::TraceSink::global()) {
-            sink->complete(
-                describeJob(job), "sweep", cellMs,
-                {obs::TraceArg::str("app",
-                                    workload::appName(job.app)),
-                 obs::TraceArg::str(
-                     "alg", placement::algorithmName(job.alg)),
-                 obs::TraceArg::str("point", job.point.label())});
-        }
-    };
-
-    // Poison stays descriptive: the cell reports *why* it has no
-    // result, and a resume with the same checkpoint re-runs exactly
-    // these cells.
-    auto cancelCell = [&](size_t u) {
-        unique[u] = Outcome<RunResult>::failure(options_.cancel->reason());
-        cancelledCells.fetch_add(1, std::memory_order_relaxed);
-        settle(u, 0.0);
-    };
-
-    auto runSingle = [&](size_t u) {
-        const RunJob &job = jobs[uniqueJobs[u]];
-        if (options_.cancel && options_.cancel->cancelled()) {
-            cancelCell(u);
-            return;
-        }
-        std::optional<util::Watchdog::Guard> guard;
-        if (watchdog)
-            guard.emplace(watchdog->watch(describeJob(job)));
-        obs::StopWatch cellWatch;
-        double cellMs = 0.0;
-        try {
-            if (options_.faultInjector)
-                options_.faultInjector(job);
-            RunResult result = lab_.run(job.app, job.alg, job.point,
-                                        job.infiniteCache,
-                                        job.memSystem);
-            cellMs = cellWatch.elapsedMs();
-            sinkCell(job, cellMs);
-            journal(job, result);
-            unique[u] = Outcome<RunResult>::success(std::move(result));
-        } catch (const util::PanicError &) {
-            notePanic();
-            return;
-        } catch (const std::exception &e) {
-            unique[u] = Outcome<RunResult>::failure(e.what());
-        }
-        settle(u, unique[u].ok() ? cellMs : 0.0);
-    };
-
-    auto runBatch = [&](const std::vector<size_t> &group) {
-        if (group.size() == 1) {
-            runSingle(group.front());
-            return;
-        }
-        if (options_.cancel && options_.cancel->cancelled()) {
-            for (size_t u : group)
-                cancelCell(u);
-            return;
-        }
-        // Per-lane preparation keeps per-cell fault isolation: the
-        // chaos hook, the machine-point validation and the placement
-        // can each fail this lane alone.
-        struct Prep
-        {
-            size_t u = 0;
-            sim::SimConfig cfg;
-            placement::PlacementMap placement;
-        };
-        std::vector<Prep> preps;
-        preps.reserve(group.size());
-        for (size_t u : group) {
-            const RunJob &job = jobs[uniqueJobs[u]];
-            try {
-                if (options_.faultInjector)
-                    options_.faultInjector(job);
-                Prep prep;
-                prep.u = u;
-                prep.cfg = lab_.configFor(job.app, job.point,
-                                          job.infiniteCache,
-                                          job.memSystem);
-                prep.placement = lab_.placementFor(
-                    job.app, job.alg, job.point.processors);
-                preps.push_back(std::move(prep));
-            } catch (const util::PanicError &) {
-                notePanic();
-                return;
-            } catch (const std::exception &e) {
-                unique[u] = Outcome<RunResult>::failure(e.what());
-                settle(u, 0.0);
+    // Hand machine m's outcome to each of its cells, journaled under
+    // the cell's own key; each settles with the simulation's time.
+    std::vector<double> machineMs(machines.size(), 0.0);
+    auto answer = [&](size_t m, const Outcome<RunResult> &outcome,
+                      double ms) {
+        const std::vector<size_t> &members = machines[m];
+        const RunJob &first = pendingJob(members.front());
+        if (outcome.ok()) {
+            machineMs[m] = ms;
+            obs::sweepCellMillis().observe(ms);
+            if (obs::TraceSink *sink = obs::TraceSink::global()) {
+                sink->complete(
+                    describeJob(first), "sweep", ms,
+                    {obs::TraceArg::str("app",
+                                        workload::appName(first.app)),
+                     obs::TraceArg::str(
+                         "alg", placement::algorithmName(first.alg)),
+                     obs::TraceArg::str("point", first.point.label()),
+                     obs::TraceArg::num(
+                         "cells",
+                         static_cast<uint64_t>(members.size()))});
             }
         }
-        if (preps.empty())
+        for (size_t p : members) {
+            if (outcome.ok())
+                journal(pendingJob(p), outcome.value());
+            unique[pending[p]] = outcome;
+        }
+        for (size_t p : members)
+            settle(pending[p], outcome.ok() ? ms : 0.0);
+    };
+
+    auto runTask = [&](const std::vector<size_t> &task) {
+        if (cancelled()) {
+            for (size_t m : task) {
+                for (size_t p : machines[m])
+                    cancelCell(p);
+            }
             return;
-        const RunJob &first = jobs[uniqueJobs[preps.front().u]];
+        }
+        const RunJob &first = pendingJob(machines[task.front()].front());
         std::optional<util::Watchdog::Guard> guard;
         if (watchdog) {
             guard.emplace(watchdog->watch(
-                util::concat(describeJob(first), " [batch of ",
-                             preps.size(), " lanes]")));
+                task.size() == 1
+                    ? describeJob(first)
+                    : util::concat(describeJob(first), " [batch of ",
+                                   task.size(), " lanes]")));
         }
-        obs::StopWatch batchWatch;
-        size_t assigned = 0;
-        double perLane = 0.0;
+        std::vector<sim::BatchLane> lanes;
+        lanes.reserve(task.size());
+        for (size_t m : task) {
+            const Prepared &prep = prepared[machines[m].front()];
+            lanes.push_back({prep.cfg, slots[prep.slot].map});
+        }
+        obs::StopWatch watch;
+        std::vector<Outcome<RunResult>> results;
         try {
-            const trace::TraceSet &traces = lab_.traces(first.app);
-            const analysis::StaticAnalysis &an =
-                lab_.analysis(first.app);
-            std::vector<sim::BatchLane> lanes;
-            lanes.reserve(preps.size());
-            for (const Prep &prep : preps)
-                lanes.push_back({prep.cfg, prep.placement});
-            sim::BatchMachine machine(std::move(lanes), traces);
-            std::vector<sim::LaneResult> results = machine.run();
-            // The lanes ran interleaved on one thread; each cell's
-            // attributed cost is its share of the batch wall time.
-            perLane = batchWatch.elapsedMs() /
-                      static_cast<double>(results.size());
-            for (; assigned < preps.size(); ++assigned) {
-                Prep &prep = preps[assigned];
-                const RunJob &job = jobs[uniqueJobs[prep.u]];
-                sim::LaneResult &lane = results[assigned];
-                if (!lane.ok) {
-                    unique[prep.u] =
-                        Outcome<RunResult>::failure(lane.error);
-                    continue;
-                }
-                RunResult result;
-                result.placement = std::move(prep.placement);
-                result.stats = std::move(lane.stats);
-                result.executionTime = result.stats.executionTime();
-                result.loadImbalance =
-                    result.placement.loadImbalance(an.threadLength());
-                sinkCell(job, perLane);
-                journal(job, result);
-                unique[prep.u] =
-                    Outcome<RunResult>::success(std::move(result));
-            }
+            results = lab_.simulate(first.app, std::move(lanes));
         } catch (const util::PanicError &) {
             notePanic();
             return;
         } catch (const std::exception &e) {
-            // Batch-level failure (trace materialization or a
-            // poisoned batch): every lane without a result yet
-            // reports it.
-            for (size_t i = assigned; i < preps.size(); ++i) {
-                unique[preps[i].u] =
-                    Outcome<RunResult>::failure(e.what());
-            }
+            // The whole task failed (trace materialization, or the
+            // one machine's simulation): each of its cells reports it.
+            results.assign(task.size(),
+                           Outcome<RunResult>::failure(e.what()));
         }
-        for (const Prep &prep : preps)
-            settle(prep.u, unique[prep.u].ok() ? perLane : 0.0);
+        // Lanes run interleaved on one thread; each machine's
+        // attributed cost is its share of the task's wall time.
+        const double ms =
+            watch.elapsedMs() / static_cast<double>(task.size());
+        for (size_t k = 0; k < task.size(); ++k)
+            answer(task[k], results[k], ms);
     };
 
-    util::parallelFor(options_.jobs, groups.size(), [&](size_t g) {
+    util::parallelFor(options_.jobs, tasks.size(), [&](size_t t) {
         if (panicked.load(std::memory_order_relaxed))
             return;
-        runBatch(groups[g]);
+        runTask(tasks[t]);
     });
 
     if (panic)
@@ -371,11 +405,21 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             ++stats_.failed;
     }
     stats_.failed -= stats_.cancelled;  // cancelled != genuinely failed
+    stats_.placements = placements.load();
+    size_t shared = 0;
+    for (size_t m = 0; m < machines.size(); ++m) {
+        if (!unique[pending[machines[m].front()]].ok())
+            continue;
+        ++stats_.simulated;
+        shared += machines[m].size() - 1;
+        stats_.simulatedMs += machineMs[m];
+    }
     if (watchdog)
         stats_.watchdogFlagged =
             static_cast<size_t>(watchdog->overdueCount());
 
     obs::sweepCellsExecuted().add(stats_.executed);
+    obs::sweepCellsShared().add(shared);
     obs::sweepCellsFromCheckpoint().add(stats_.fromCheckpoint);
     obs::sweepCellsFailed().add(stats_.failed);
 

@@ -73,10 +73,14 @@ TSP_OBS_MS_HISTOGRAM(labWarmupMillis, "lab.warmup_ms",
 
 TSP_OBS_MS_HISTOGRAM(sweepCellMillis, "sweep.cell_ms",
                      "experiment::ParallelRunner",
-                     "per-cell simulation wall time")
+                     "wall time of each sweep simulation (one per "
+                     "distinct machine)")
 TSP_OBS_COUNTER(sweepCellsExecuted, "sweep.cells_executed",
                 "experiment::ParallelRunner",
-                "unique cells simulated this process")
+                "unique cells answered fresh this process")
+TSP_OBS_COUNTER(sweepCellsShared, "sweep.cells_shared",
+                "experiment::ParallelRunner",
+                "unique cells answered by another cell's simulation")
 TSP_OBS_COUNTER(sweepCellsFromCheckpoint, "sweep.cells_from_checkpoint",
                 "experiment::ParallelRunner",
                 "unique cells replayed from a checkpoint journal")
@@ -217,6 +221,7 @@ allMetrics()
     labWarmupMillis();
     sweepCellMillis();
     sweepCellsExecuted();
+    sweepCellsShared();
     sweepCellsFromCheckpoint();
     sweepCellsFailed();
     storeHits();

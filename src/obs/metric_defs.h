@@ -40,8 +40,9 @@ Counter &labProbeMemoMisses();
 Histogram &labWarmupMillis();     //!< per-app warmup wall time
 
 // ----------------------------------------- experiment::ParallelRunner
-Histogram &sweepCellMillis();     //!< per-cell simulation wall time
+Histogram &sweepCellMillis();     //!< wall time per sweep simulation
 Counter &sweepCellsExecuted();
+Counter &sweepCellsShared();      //!< answered by another cell's run
 Counter &sweepCellsFromCheckpoint();
 Counter &sweepCellsFailed();
 

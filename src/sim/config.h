@@ -14,6 +14,7 @@
 #ifndef TSP_SIM_CONFIG_H
 #define TSP_SIM_CONFIG_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -170,6 +171,12 @@ struct SimConfig
     {
         return l2Bytes / blockBytes / l2Associativity;
     }
+
+    /**
+     * Field-by-field comparison: equal configurations describe the
+     * same machine, so a sweep simulates them once.
+     */
+    auto operator<=>(const SimConfig &) const = default;
 };
 
 /**

@@ -136,7 +136,8 @@ struct StudyResponse
     // Cell counts are of distinct cells: a job repeated within the
     // study counts once.
     size_t cacheHits = 0;        //!< cells served from the store
-    size_t executed = 0;         //!< cells simulated fresh
+    size_t executed = 0;         //!< cells answered fresh (simulated
+                                 //!< or sharing another's simulation)
     size_t cancelledCells = 0;   //!< cells cancelled by the deadline
 
     double queueMillis = 0.0;    //!< admission -> dequeue (or expiry)

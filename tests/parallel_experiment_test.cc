@@ -772,11 +772,11 @@ TEST(Cancellation, MidSweepCancelIsCleanlyResumable)
     Lab baselineLab(kScale);
     auto baseline = ParallelRunner(baselineLab, 1).runAll(jobs);
 
-    // The token trips while the second cell is in flight (the hook
-    // runs after the cell's cancellation poll): that cell completes
-    // and journals; the remaining cells are skipped.
+    // The token trips once the second cell has settled, between
+    // cells, as the daemon's deadline check does: the settled cells
+    // are journaled; the remaining cells are skipped.
     util::CancelToken token;
-    size_t started = 0;
+    size_t settled = 0;
     {
         Lab lab(kScale);
         Checkpoint cp(path, kScale);
@@ -786,8 +786,9 @@ TEST(Cancellation, MidSweepCancelIsCleanlyResumable)
         options.cancel = &token;
         options.checkpoint = &cp;
         options.statsOut = &stats;
-        options.faultInjector = [&](const RunJob &) {
-            if (++started == 2)
+        options.onCell = [&](size_t, const Outcome<RunResult> &,
+                             double) {
+            if (++settled == 2)
                 token.requestCancel();
         };
         auto outcomes =

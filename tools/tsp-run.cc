@@ -383,7 +383,7 @@ runSweep(int argc, char **argv)
 
     std::vector<experiment::JobFailure> failures;
     experiment::SweepStats stats;
-    double cellMsSum = 0.0, cellMsMax = 0.0;
+    double cellMsMax = 0.0;
     const auto study =
         hierarchy ? experiment::hierarchyStudy : experiment::execTimeStudy;
     const auto rows = study(
@@ -396,7 +396,6 @@ runSweep(int argc, char **argv)
          .jobDeadline = std::chrono::milliseconds(deadlineMs),
          .cancel = &gCancel,
          .onCell = [&](size_t, const auto &, double wallMs) {
-             cellMsSum += wallMs;
              cellMsMax = std::max(cellMsMax, wallMs);
          }});
     std::printf("%s", experiment::renderSweepTables(
@@ -408,14 +407,14 @@ runSweep(int argc, char **argv)
     std::printf("\nsweep: %zu cells (%zu unique), %zu replayed from "
                 "checkpoint, %zu simulated, %zu failed\n",
                 stats.total, stats.unique, stats.fromCheckpoint,
-                stats.executed, stats.failed);
+                stats.simulated, stats.failed);
     if (stats.cancelled)
         std::printf("cancelled: %zu cells skipped (signal %d)\n",
                     stats.cancelled, static_cast<int>(gSignal));
-    if (stats.executed) {
+    if (stats.simulated) {
         std::printf("cell wall time: %s ms total (max %s ms per "
                     "cell)\n",
-                    util::fmtFixed(cellMsSum, 1).c_str(),
+                    util::fmtFixed(stats.simulatedMs, 1).c_str(),
                     util::fmtFixed(cellMsMax, 1).c_str());
     }
     if (stats.watchdogFlagged)
