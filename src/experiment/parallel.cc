@@ -3,7 +3,6 @@
 #include <atomic>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <tuple>
 
 #include <cstdlib>
@@ -14,7 +13,6 @@
 #include "obs/trace_sink.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/watchdog.h"
 
 namespace tsp::experiment {
 
@@ -153,10 +151,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         return jobs[uniqueJobs[pending[p]]];
     };
 
-    std::optional<util::Watchdog> watchdog;
-    if (options_.jobDeadline.count() > 0)
-        watchdog.emplace(options_.jobDeadline);
-
     // PanicError means a library bug: fail the sweep fast. The flag
     // short-circuits iterations that have not started yet; the first
     // panic (by schedule) is rethrown after every thread joins.
@@ -225,9 +219,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             return;
         }
         const RunJob &job = pendingJob(p);
-        std::optional<util::Watchdog::Guard> guard;
-        if (watchdog)
-            guard.emplace(watchdog->watch(describeJob(job)));
         Prepared &prep = prepared[p];
         try {
             if (options_.faultInjector)
@@ -354,14 +345,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
             return;
         }
         const RunJob &first = pendingJob(machines[task.front()].front());
-        std::optional<util::Watchdog::Guard> guard;
-        if (watchdog) {
-            guard.emplace(watchdog->watch(
-                task.size() == 1
-                    ? describeJob(first)
-                    : util::concat(describeJob(first), " [batch of ",
-                                   task.size(), " lanes]")));
-        }
         std::vector<sim::BatchLane> lanes;
         lanes.reserve(task.size());
         for (size_t m : task) {
@@ -414,10 +397,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
         shared += machines[m].size() - 1;
         stats_.simulatedMs += machineMs[m];
     }
-    if (watchdog)
-        stats_.watchdogFlagged =
-            static_cast<size_t>(watchdog->overdueCount());
-
     obs::sweepCellsExecuted().add(stats_.executed);
     obs::sweepCellsShared().add(shared);
     obs::sweepCellsFromCheckpoint().add(stats_.fromCheckpoint);

@@ -31,19 +31,16 @@
  *    are replayed instead of simulated and fresh results are
  *    journaled as they complete, so a killed sweep re-runs only the
  *    missing cells;
- *  - watchdog — with a job deadline set, cell preparations and
- *    simulations running past it are flagged (warn + SweepStats)
- *    without being killed;
- *  - cancellation — with a CancelToken attached, a tripped token stops
- *    new cells from starting; finished cells stay journaled and the
- *    skipped cells report failed Outcomes, keeping the sweep
- *    resumable after SIGINT/SIGTERM or a deadline.
+ *  - cancellation — with a CancelToken attached, the token is polled
+ *    before every cell's preparation and every simulation, so a token
+ *    tripped by a signal or by its own deadline stops new cells from
+ *    starting; finished cells stay journaled and the skipped cells
+ *    report failed Outcomes, keeping the sweep resumable.
  */
 
 #ifndef TSP_EXPERIMENT_PARALLEL_H
 #define TSP_EXPERIMENT_PARALLEL_H
 
-#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -97,8 +94,6 @@ struct SweepStats
     size_t executed = 0;        //!< unique jobs answered fresh
     size_t fromCheckpoint = 0;  //!< replayed from the journal
     size_t failed = 0;          //!< unique jobs that failed
-    size_t watchdogFlagged = 0; //!< preparations and simulations
-                                //!< that ran past the deadline
     size_t cancelled = 0;       //!< unique jobs skipped by cancellation
     size_t placements = 0;      //!< placements computed
     size_t simulated = 0;       //!< distinct machines simulated
@@ -137,19 +132,14 @@ struct SweepOptions
     SweepStats *statsOut = nullptr;
 
     /**
-     * Flag a cell's preparation or a simulation running longer than
-     * this; zero disables.
-     */
-    std::chrono::milliseconds jobDeadline{0};
-
-    /**
      * Cooperative cancellation: when non-null, the sweep polls this
-     * token before starting each cell. Once the token trips (a signal
-     * handler, the watchdog, another thread), cells not yet started
-     * become failed Outcomes ("sweep cancelled...") while in-flight
-     * cells run to completion and are journaled normally — so a
-     * cancelled sweep is always cleanly resumable. A skipped cell's
-     * error is the token's reason().
+     * token before each cell's preparation (placement included) and
+     * before each simulation. Once the token trips (a signal handler,
+     * its own deadline, another thread), cells not yet started become
+     * failed Outcomes ("sweep cancelled...") while in-flight cells
+     * run to completion and are journaled normally — so a cancelled
+     * sweep is always cleanly resumable. A skipped cell's error is
+     * the token's reason().
      */
     const util::CancelToken *cancel = nullptr;
 
@@ -165,7 +155,7 @@ struct SweepOptions
      * settlement order rather than input order; a PanicError leaves the
      * remaining cells unsettled. Must not throw. It cannot change a
      * result, but tripping `cancel` from it skips every cell not yet
-     * started (the daemon's between-cell deadline check).
+     * started.
      */
     std::function<void(size_t index, const Outcome<RunResult> &outcome,
                        double wallMs)>
@@ -191,7 +181,7 @@ class ParallelRunner
   public:
     explicit ParallelRunner(Lab &lab, unsigned jobs = util::defaultJobs());
 
-    /** Configure from a SweepOptions (checkpoint, deadline, hooks). */
+    /** Configure from a SweepOptions (checkpoint, cancel, hooks). */
     ParallelRunner(Lab &lab, const SweepOptions &options);
 
     /** Effective fork-join width (>= 1). */

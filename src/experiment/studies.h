@@ -9,7 +9,8 @@
  * bit-identical to `jobs == 1`) and the robustness knobs — a
  * Checkpoint to journal/replay cells, a failures sink that turns
  * per-cell FatalErrors into reported-and-skipped rows (rows carry
- * `failed`/`error`), and a per-job watchdog deadline. Without a
+ * `failed`/`error`), and a CancelToken, which a signal or its own
+ * deadline trips to skip the cells not yet started. Without a
  * failures sink the drivers keep their strict behavior — the first
  * failed cell throws. Callers set only what they need:
  * `execTimeStudy(lab, app, algs, {.jobs = 1})`.

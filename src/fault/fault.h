@@ -3,7 +3,7 @@
  * Deterministic fault-injection framework for the robustness seams.
  *
  * Every recovery mechanism in this repo (checkpoint/resume, bounded
- * retry, fault-isolated sweeps, watchdog) exists to survive failures —
+ * retry, fault-isolated sweeps, deadlines) exists to survive failures —
  * and nothing proves recovery machinery like provoking the failure on
  * purpose. A named injection site is placed at each seam with
  *
@@ -26,7 +26,8 @@
  *  - `fatal` — throw util::FatalError, the shape of a bad input or
  *    unrecoverable environment error (sweeps degrade the cell);
  *  - `delay` — sleep a few milliseconds, the shape of a stall
- *    (watchdog and deadline paths see it; nothing throws).
+ *    (a deadline token polled after it sees the time pass; nothing
+ *    throws).
  *
  * Design points (mirroring the obs metrics registry, whose disabled
  * cost is pinned by test):

@@ -45,10 +45,6 @@ TSP_OBS_COUNTER(poolWorkerBusyMicros, "pool.worker_busy_us",
                 "util::parallelFor",
                 "cumulative started-thread time spent running shards")
 
-TSP_OBS_COUNTER(watchdogDeadlineFires, "watchdog.deadline_fires",
-                "util::Watchdog",
-                "jobs flagged for exceeding their deadline")
-
 TSP_OBS_COUNTER(labTraceMemoHits, "lab.trace_memo_hits",
                 "experiment::Lab",
                 "trace-set requests served from the memo cache")
@@ -211,7 +207,6 @@ allMetrics()
     // Touch every accessor so the registry holds the full catalog.
     poolTasksExecuted();
     poolWorkerBusyMicros();
-    watchdogDeadlineFires();
     labTraceMemoHits();
     labTraceMemoMisses();
     labAnalysisMemoHits();

@@ -11,7 +11,7 @@
  *    here and a row in docs/observability.md's reference table —
  *    `tests/obs_doc_test.cc` diffs the two and fails on drift;
  *  - names are dotted lowercase, prefixed by the owning layer
- *    (pool., lab., sweep., checkpoint., watchdog., sim., bench.).
+ *    (pool., lab., sweep., checkpoint., sim., bench.).
  */
 
 #ifndef TSP_OBS_METRIC_DEFS_H
@@ -26,9 +26,6 @@ namespace tsp::obs {
 // ------------------------------------------------ util::parallelFor
 Counter &poolTasksExecuted();     //!< shards run on started threads
 Counter &poolWorkerBusyMicros();  //!< started-thread time in shards
-
-// ---------------------------------------------------- util::Watchdog
-Counter &watchdogDeadlineFires(); //!< jobs flagged past their deadline
 
 // ---------------------------------------------------- experiment::Lab
 Counter &labTraceMemoHits();

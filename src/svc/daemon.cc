@@ -325,15 +325,17 @@ Daemon::execute(Pending &pending)
         return response;
     }
 
-    // Per-request deadline enforcement: the clock is checked after
-    // each cell, and an overdue request trips the token so every cell
-    // not yet started is answered as cancelled. The runner never
-    // interrupts a running cell, so this is the only check needed.
+    // Per-request deadline enforcement: the token trips itself once
+    // the daemon's clock reaches the expiry, and the runner polls it
+    // before every cell's preparation and every simulation, so every
+    // cell not yet started is answered as cancelled. The runner never
+    // interrupts a running cell.
     //
-    // The same callback is the running heartbeat after every cell
-    // disposition (run, hit, failure or cancellation), piggybacking
-    // the cell's wall time so remote clients see per-cell pacing.
-    util::CancelToken cancel;
+    // onCell is the running heartbeat after every cell disposition
+    // (run, hit, failure or cancellation), piggybacking the cell's
+    // wall time so remote clients see per-cell pacing.
+    const util::CancelToken cancel(
+        pending.expiry, [this] { return now(); }, kDeadlineReason);
     StudyProgress running;
     running.stage = StudyProgress::Stage::Running;
     running.totalCells =
@@ -344,8 +346,6 @@ Daemon::execute(Pending &pending)
          .cancel = &cancel,
          .onCell = [&](size_t, const Outcome<RunResult> &,
                        double wallMs) {
-             if (now() >= pending.expiry)
-                 cancel.requestCancel(kDeadlineReason);
              ++running.cellsDone;
              running.lastCellMillis = wallMs;
              notify(pending.request.onProgress, running);
@@ -358,9 +358,9 @@ StudyResponse
 runStudy(experiment::Lab &lab, const std::vector<RunJob> &jobs,
          experiment::SweepOptions options)
 {
-    // One cell at a time and no lockstep lanes: the daemon's deadline
-    // check runs between cells, and Config::workers stays the
-    // service's one concurrency knob.
+    // One cell at a time and no lockstep lanes: Config::workers stays
+    // the service's one concurrency knob, and a deadline cancels every
+    // cell after the one running when it passes.
     experiment::SweepStats stats;
     options.jobs = 1;
     options.batch = 1;

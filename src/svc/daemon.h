@@ -15,10 +15,11 @@
  *    never blocks and never holds daemon resources;
  *  - *deadlines* — a request carries a deadline measured from
  *    admission. Expired while still queued, it is answered Expired
- *    without running anything; overdue mid-run, the clock check after
- *    each cell trips the request's CancelToken (the running cell is
- *    never interrupted, so no monitor thread is needed), and the
- *    remaining cells are answered as cancelled;
+ *    without running anything; overdue mid-run, the request's
+ *    CancelToken trips itself at the runner's next poll, before a
+ *    cell's preparation or simulation (the running cell is never
+ *    interrupted, so no monitor thread is needed), and the remaining
+ *    cells are answered as cancelled;
  *  - *resilience* — any exception a request raises (including
  *    injected faults at the `svc.dequeue` site and a PanicError from
  *    a cell) is caught at the request boundary and reported as a
@@ -216,7 +217,8 @@ class Daemon
 
         /**
          * Test-only clock override (admission stamps, expiry checks,
-         * latency accounting); empty = steady_clock.
+         * the request token's deadline polls, latency accounting);
+         * empty = steady_clock.
          */
         std::function<Clock::time_point()> clock;
     };

@@ -11,7 +11,7 @@ defaultJobs()
         char *end = nullptr;
         unsigned long parsed = std::strtoul(env, &end, 10);
         if (end != env && *end == '\0' && parsed > 0 &&
-            parsed <= 1024) {
+            parsed <= kMaxThreads) {
             return static_cast<unsigned>(parsed);
         }
     }

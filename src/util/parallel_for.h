@@ -28,8 +28,14 @@
 namespace tsp::util {
 
 /**
+ * The most threads one knob may ask for: TSP_JOBS, `tsp-run --jobs`,
+ * and `tsp-serve --workers` and `--clients` each take 1 to this.
+ */
+constexpr unsigned kMaxThreads = 1024;
+
+/**
  * The default fork-join width: the TSP_JOBS environment variable if
- * it parses to an integer in [1, 1024], else
+ * it parses to an integer in [1, kMaxThreads], else
  * std::thread::hardware_concurrency() (minimum 1).
  */
 unsigned defaultJobs();

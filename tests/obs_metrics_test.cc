@@ -305,7 +305,7 @@ TEST(ObsMetrics, CatalogRegistersEveryDocumentedAccessor)
         if (info.name.rfind("test.", 0) != 0)
             ++catalog;
     }
-    EXPECT_EQ(catalog, 57u)
+    EXPECT_EQ(catalog, 56u)
         << "metric added or removed: update obs/metric_defs.h, "
            "docs/observability.md and this count together";
 }

@@ -21,6 +21,7 @@
 #include "experiment/checkpoint.h"
 #include "experiment/lab.h"
 #include "experiment/parallel.h"
+#include "experiment/run_codec.h"
 #include "experiment/studies.h"
 #include "obs/metric_defs.h"
 #include "obs/metrics.h"
@@ -40,6 +41,15 @@ unsigned
 wideJobs()
 {
     return std::max(4u, std::thread::hardware_concurrency());
+}
+
+/** A result's journal bytes: equal bytes are a bit-identical result. */
+std::string
+encoded(const RunResult &result)
+{
+    codec::ByteWriter w;
+    codec::writeRunResult(w, result);
+    return w.bytes();
 }
 
 // ---------------------------------------------------------- ParallelRunner
@@ -637,27 +647,73 @@ TEST(FaultIsolation, StrictStudyStillThrowsOnInjectedFailure)
                  util::FatalError);
 }
 
-TEST(FaultIsolation, WatchdogFlagsSlowCells)
+TEST(FaultIsolation, DeadlineCancelsUnstartedCellsAndResumes)
 {
+    // A token whose deadline is 1 ms on a clock that each settled cell
+    // moves 1 ms on: the first machine runs, and the deadline passes
+    // as it settles. Every cell the runner polls for after that comes
+    // out cancelled with the token's reason, not failed, and a resume
+    // from the checkpoint is bit-identical to an uninterrupted sweep.
+    const std::string path = testing::TempDir() + "/deadline_resume.tspc";
+    std::remove(path.c_str());
+    const std::vector<RunJob> jobs = {
+        {AppId::Water, Algorithm::Random, {2, 4}, false},
+        {AppId::Water, Algorithm::LoadBal, {2, 4}, false},
+        {AppId::Water, Algorithm::ShareRefs, {4, 2}, false},
+        {AppId::Water, Algorithm::MinShare, {4, 2}, false},
+    };
+    Lab baselineLab(kScale);
+    const auto baseline = ParallelRunner(baselineLab, 1).runAll(jobs);
+
+    using Clock = util::CancelToken::Clock;
+    constexpr const char *kReason = "test: the deadline passed";
+    int settled = 0;
+    const util::CancelToken token(
+        Clock::time_point(std::chrono::milliseconds(1)),
+        [&settled] {
+            return Clock::time_point(std::chrono::milliseconds(settled));
+        },
+        kReason);
+    {
+        Lab lab(kScale);
+        Checkpoint cp(path, kScale);
+        SweepStats stats;
+        SweepOptions options;
+        options.jobs = 1;  // deterministic input-order execution
+        options.cancel = &token;
+        options.checkpoint = &cp;
+        options.statsOut = &stats;
+        options.onCell = [&](size_t, const Outcome<RunResult> &,
+                             double) { ++settled; };
+        auto outcomes =
+            ParallelRunner(lab, options).runAllOutcomes(jobs);
+
+        EXPECT_TRUE(outcomes[0].ok());
+        for (size_t i = 1; i < jobs.size(); ++i) {
+            ASSERT_FALSE(outcomes[i].ok()) << "input " << i;
+            EXPECT_EQ(outcomes[i].error(), kReason);
+        }
+        EXPECT_EQ(stats.executed, 1u);
+        EXPECT_EQ(stats.cancelled, 3u);
+        EXPECT_EQ(stats.failed, 0u);
+        EXPECT_EQ(cp.size(), 1u);
+    }
+
     Lab lab(kScale);
+    Checkpoint cp(path, kScale);
     SweepStats stats;
     SweepOptions options;
-    options.jobs = 2;
+    options.jobs = wideJobs();
+    options.checkpoint = &cp;
     options.statsOut = &stats;
-    options.jobDeadline = std::chrono::milliseconds(5);
-    options.faultInjector = [](const RunJob &job) {
-        if (job.alg == Algorithm::ShareRefs)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(40));
-    };
-    std::vector<RunJob> jobs = {
-        {AppId::Water, Algorithm::Random, {2, 4}, false},
-        {AppId::Water, Algorithm::ShareRefs, {4, 2}, false},
-    };
-    auto outcomes = ParallelRunner(lab, options).runAllOutcomes(jobs);
-    EXPECT_TRUE(outcomes[0].ok());
-    EXPECT_TRUE(outcomes[1].ok());
-    EXPECT_GE(stats.watchdogFlagged, 1u);
+    auto resumed = ParallelRunner(lab, options).runAll(jobs);
+    EXPECT_EQ(stats.fromCheckpoint, 1u);
+    EXPECT_EQ(stats.executed, 3u);
+    ASSERT_EQ(resumed.size(), baseline.size());
+    for (size_t i = 0; i < resumed.size(); ++i)
+        EXPECT_EQ(encoded(resumed[i]), encoded(baseline[i]))
+            << "input " << i;
+    std::remove(path.c_str());
 }
 
 TEST(Determinism, Table4StudyMatchesSerialRows)

@@ -2,9 +2,9 @@
  * @file
  * The resident experiment daemon (svc::Daemon): admission control and
  * deterministic queue-full shedding, priority ordering, store-backed
- * dedup, sweep metrics for daemon cells, queue-expiry and mid-run
- * deadline cancellation (on a fake clock), request-boundary fault
- * containment, and graceful drain.
+ * dedup, sweep metrics for daemon cells, queue-expiry, mid-run and
+ * mid-preparation deadline cancellation (on a fake clock),
+ * request-boundary fault containment, and graceful drain.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -255,21 +256,26 @@ TEST(Daemon, DeadlineExpiredWhileQueuedAnswersExpired)
     daemon.drain();
 }
 
+/** A fake clock that reads T0 @p atT0 times, then 20 ms past it. */
+std::function<Daemon::Clock::time_point()>
+jumpAfter(std::atomic<int> &reads, int atT0)
+{
+    const auto t0 = Daemon::Clock::time_point(0ms);
+    return [&reads, atT0, t0] {
+        return ++reads <= atT0 ? t0 : t0 + 20ms;
+    };
+}
+
 TEST(Daemon, MidRunDeadlineCancelsTailCellsDeterministically)
 {
-    // Fake clock: admission and the start of execution read T0;
-    // every later read is past the 10ms deadline. Cell 1 runs, cells
-    // 2 and 3 are answered as cancelled — deterministically, with no
-    // real-time dependence (the watchdog is skipped under fake clocks).
+    // Fake clock, read at the runner's poll points: admission, the
+    // start of execution, the three cells' preparation polls and the
+    // poll before the first simulation read T0; the poll before the
+    // second simulation is past the 10 ms deadline. Cell 1 runs, cells
+    // 2 and 3 are answered as cancelled, with no real-time dependence.
     Daemon::Config config = smallConfig();
     std::atomic<int> reads{0};
-    const auto t0 = Daemon::Clock::time_point(0ms);
-    config.clock = [&reads, t0]() {
-        // Reads 1..2: admission stamp, execute() start. From read 3
-        // on (the expiry gate after cell 1), time has jumped past the
-        // deadline.
-        return (++reads <= 2) ? t0 : t0 + 20ms;
-    };
+    config.clock = jumpAfter(reads, 6);
     Daemon daemon(config);
 
     auto submitted = daemon.submit(
@@ -290,6 +296,36 @@ TEST(Daemon, MidRunDeadlineCancelsTailCellsDeterministically)
         << response.outcomes[1].error();
     EXPECT_EQ(response.cancelledCells, 2u);
     EXPECT_EQ(response.executed, 1u);
+    daemon.drain();
+}
+
+TEST(Daemon, DeadlineDuringPreparationRunsNoSimulation)
+{
+    // The deadline passes at the second cell's preparation poll, after
+    // the first cell was placed: the token trips itself there, so no
+    // cell reaches a simulation and every cell is answered cancelled.
+    Daemon::Config config = smallConfig();
+    std::atomic<int> reads{0};
+    config.clock = jumpAfter(reads, 3);
+    Daemon daemon(config);
+
+    auto submitted = daemon.submit(
+        study({jobAt(placement::Algorithm::LoadBal),
+               jobAt(placement::Algorithm::ShareRefs),
+               jobAt(placement::Algorithm::LoadBal, 8)},
+              0, 10ms));
+    ASSERT_TRUE(submitted.admitted());
+
+    StudyResponse response = submitted.accepted->get();
+    EXPECT_EQ(response.status, StudyStatus::DeadlineExceeded);
+    EXPECT_EQ(response.executed, 0u);
+    EXPECT_EQ(response.cancelledCells, 3u);
+    ASSERT_EQ(response.outcomes.size(), 3u);
+    for (const auto &outcome : response.outcomes) {
+        ASSERT_FALSE(outcome.ok());
+        EXPECT_NE(outcome.error().find("deadline"), std::string::npos)
+            << outcome.error();
+    }
     daemon.drain();
 }
 

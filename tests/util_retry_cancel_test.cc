@@ -1,93 +1,26 @@
 /**
  * @file
- * Tests of the robustness utilities: the deadline watchdog (flags
- * overdue tasks exactly once, leaves fast tasks alone) and bounded
- * retry with backoff (transient failures heal, exhaustion rethrows
- * the original error, PanicError is never retried).
+ * Tests of the robustness utilities: bounded retry with backoff
+ * (transient failures heal, exhaustion rethrows the original error,
+ * PanicError is never retried, jitter is deterministic per seed) and
+ * the cancellation token (a one-way latch whose first reason wins,
+ * and whose deadline trips it at the first poll at or after its time).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/cancel.h"
 #include "util/error.h"
 #include "util/retry.h"
-#include "util/watchdog.h"
 
 namespace tsp::util {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------------- watchdog
-
-TEST(Watchdog, FlagsOverdueTaskOnce)
-{
-    std::mutex mutex;
-    std::vector<std::string> flagged;
-    Watchdog dog(
-        20ms,
-        [&](const std::string &label, std::chrono::milliseconds) {
-            std::lock_guard<std::mutex> lock(mutex);
-            flagged.push_back(label);
-        },
-        5ms);
-    {
-        auto guard = dog.watch("slow-cell");
-        std::this_thread::sleep_for(120ms);
-    }
-    EXPECT_EQ(dog.overdueCount(), 1u);
-    ASSERT_EQ(dog.overdueLabels().size(), 1u);
-    EXPECT_EQ(dog.overdueLabels()[0], "slow-cell");
-    std::lock_guard<std::mutex> lock(mutex);
-    // Flagged exactly once despite many poll cycles past the deadline.
-    ASSERT_EQ(flagged.size(), 1u);
-    EXPECT_EQ(flagged[0], "slow-cell");
-}
-
-TEST(Watchdog, FastTasksAreNeverFlagged)
-{
-    Watchdog dog(250ms, [](const std::string &,
-                           std::chrono::milliseconds) {}, 5ms);
-    for (int i = 0; i < 5; ++i) {
-        auto guard = dog.watch("fast-cell");
-    }
-    std::this_thread::sleep_for(40ms);
-    EXPECT_EQ(dog.overdueCount(), 0u);
-    EXPECT_TRUE(dog.overdueLabels().empty());
-}
-
-TEST(Watchdog, TracksConcurrentTasksIndependently)
-{
-    Watchdog dog(20ms, [](const std::string &,
-                          std::chrono::milliseconds) {}, 5ms);
-    std::thread slow([&] {
-        auto guard = dog.watch("slow");
-        std::this_thread::sleep_for(100ms);
-    });
-    std::thread fast([&] {
-        auto guard = dog.watch("fast");
-    });
-    slow.join();
-    fast.join();
-    EXPECT_EQ(dog.overdueCount(), 1u);
-    ASSERT_EQ(dog.overdueLabels().size(), 1u);
-    EXPECT_EQ(dog.overdueLabels()[0], "slow");
-}
-
-TEST(Watchdog, DefaultCallbackWarnsWithoutCrashing)
-{
-    Watchdog dog(10ms);
-    auto guard = dog.watch("warn-path");
-    std::this_thread::sleep_for(60ms);
-    EXPECT_EQ(dog.overdueCount(), 1u);
-}
 
 // ------------------------------------------------------------------- retry
 
@@ -226,42 +159,73 @@ TEST(CancelToken, IsAOneWayLatch)
 {
     CancelToken token;
     EXPECT_FALSE(token.cancelled());
-    EXPECT_NO_THROW(token.throwIfCancelled("op"));
+    EXPECT_EQ(token.reason(), nullptr);
     token.requestCancel();
     EXPECT_TRUE(token.cancelled());
-    token.requestCancel();  // idempotent
+    token.requestCancel("a later reason");  // idempotent
     EXPECT_TRUE(token.cancelled());
-    EXPECT_THROW(token.throwIfCancelled("op"), FatalError);
+    EXPECT_STREQ(token.reason(), "sweep cancelled before this cell started");
 }
 
-TEST(Watchdog, OverdueTaskTripsTheCancelToken)
+constexpr const char *kDeadlineReason = "test: the deadline passed";
+
+/** A token whose deadline is 10 ms on a clock the test sets. */
+struct FakeClockToken
 {
-    CancelToken token;
-    Watchdog dog(20ms, [&token](const std::string &,
-                                std::chrono::milliseconds) {
-        token.requestCancel();
-    }, 5ms);
-    {
-        auto guard = dog.watch("runaway-cell");
-        for (int i = 0; i < 2000 && !token.cancelled(); ++i)
-            std::this_thread::sleep_for(1ms);
-    }
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_EQ(dog.overdueCount(), 1u);
+    const CancelToken::Clock::time_point t0{};
+    CancelToken::Clock::time_point now = t0;
+    int reads = 0;
+    CancelToken token{t0 + 10ms,
+                      [this] {
+                          ++reads;
+                          return now;
+                      },
+                      kDeadlineReason};
+};
+
+TEST(CancelToken, TripsAtItsDeadlineWithItsReason)
+{
+    FakeClockToken fake;
+    fake.now = fake.t0 + 9ms;
+    EXPECT_FALSE(fake.token.cancelled());
+    EXPECT_EQ(fake.token.reason(), nullptr);
+    fake.now = fake.t0 + 10ms;  // at the deadline, not only past it
+    EXPECT_TRUE(fake.token.cancelled());
+    EXPECT_STREQ(fake.token.reason(), kDeadlineReason);
+
+    // A latch: a clock read as earlier again cannot untrip it, and
+    // once tripped the token reads the clock no more.
+    const int reads = fake.reads;
+    fake.now = fake.t0;
+    EXPECT_TRUE(fake.token.cancelled());
+    EXPECT_STREQ(fake.token.reason(), kDeadlineReason);
+    EXPECT_EQ(fake.reads, reads);
 }
 
-TEST(Watchdog, FastTasksNeverTripTheCancelToken)
+TEST(CancelToken, EarlierRequestKeepsTheFirstReason)
 {
-    CancelToken token;
-    Watchdog dog(250ms, [&token](const std::string &,
-                                 std::chrono::milliseconds) {
-        token.requestCancel();
-    }, 5ms);
-    for (int i = 0; i < 5; ++i) {
-        auto guard = dog.watch("quick-cell");
-    }
-    std::this_thread::sleep_for(40ms);
+    FakeClockToken fake;
+    fake.token.requestCancel("test: cancelled first");
+    fake.now = fake.t0 + 20ms;
+    EXPECT_TRUE(fake.token.cancelled());
+    EXPECT_STREQ(fake.token.reason(), "test: cancelled first");
+}
+
+TEST(CancelToken, WithoutADeadlineNeverTripsByItself)
+{
+    int reads = 0;
+    const CancelToken token(CancelToken::Clock::time_point::max(),
+                            [&reads] {
+                                ++reads;
+                                return CancelToken::Clock::time_point::max();
+                            },
+                            kDeadlineReason);
     EXPECT_FALSE(token.cancelled());
+    EXPECT_EQ(token.reason(), nullptr);
+    EXPECT_EQ(reads, 0);  // no deadline, so no clock read
+
+    const CancelToken plain;
+    EXPECT_FALSE(plain.cancelled());
 }
 
 } // namespace

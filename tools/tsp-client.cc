@@ -17,7 +17,8 @@
  *   --alg NAME           placement algorithm; repeatable, one cell
  *                        per use at the first standard machine point
  *                        (default: LOAD-BAL and SHARE-REFS)
- *   --deadline MS        per-request deadline (0 = server default)
+ *   --deadline MS        per-request deadline from admission (0 = none
+ *                        of its own: the server's default applies)
  *   --priority N         request priority (default 0)
  *   --retry-budget N     reconnect-and-reissue attempts (default 3)
  *   --retry-backoff MS   initial reconnect backoff (default 10)
@@ -34,22 +35,21 @@
  * bit-identical answer.
  *
  * Exit codes: 0 answered (including via --local-fallback);
- * 1 transport dead; 2 usage; 3 rejected by a healthy server.
+ * 1 transport dead; 2 usage (also any bad flag value, named);
+ * 3 rejected by a healthy server.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "experiment/configs.h"
 #include "experiment/lab.h"
+#include "flags.h"
 #include "svc/client.h"
 #include "svc/daemon.h"
 #include "util/checksum.h"
-#include "util/error.h"
-#include "util/parse.h"
 #include "workload/suite.h"
 
 namespace {
@@ -64,12 +64,15 @@ usage()
     std::fprintf(
         stderr,
         "usage: tsp_client --port PORT [options]\n"
-        "  --host ADDR    --scale N         --app NAME\n"
-        "  --alg NAME (repeatable)          --deadline MS\n"
+        "%s"
+        "  --alg NAME (repeatable)\n"
         "  --priority N   --retry-budget N  --retry-backoff MS\n"
         "  --timeout MS   --local-fallback\n"
-        "see docs/service.md for the wire protocol and semantics\n");
-    return 2;
+        "see docs/service.md for the wire protocol and semantics\n",
+        tools::helpLines(tools::kHost, tools::kScale, tools::kApp,
+                         tools::kDeadline)
+            .c_str());
+    return tools::kExitUsage;
 }
 
 int
@@ -84,49 +87,31 @@ run(int argc, char **argv)
     bool localFallback = false;
     bool havePort = false;
 
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--host"))
-            config.host = next("--host");
-        else if (!std::strcmp(argv[i], "--port")) {
-            config.port = static_cast<uint16_t>(util::parseUnsigned32(
-                next("--port"), "--port", 1, 65535));
+    for (tools::Args args(argc, argv, 1); args.next();) {
+        if (args.is(tools::kHost))
+            config.host = args.get(tools::kHost);
+        else if (args.is("--port")) {
+            config.port = static_cast<uint16_t>(args.number32(1, 65535));
             havePort = true;
-        } else if (!std::strcmp(argv[i], "--scale"))
-            scale = util::parseUnsigned32(next("--scale"), "--scale",
-                                          1);
-        else if (!std::strcmp(argv[i], "--app"))
-            app = workload::appByName(next("--app"));
-        else if (!std::strcmp(argv[i], "--alg")) {
-            const char *name = next("--alg");
-            std::optional<placement::Algorithm> alg =
-                placement::algorithmFromName(name);
-            util::fatalIf(!alg.has_value(),
-                          std::string("unknown algorithm: ") + name);
-            algs.push_back(*alg);
-        } else if (!std::strcmp(argv[i], "--deadline"))
-            deadline =
-                std::chrono::milliseconds(util::parseUnsigned32(
-                    next("--deadline"), "--deadline"));
-        else if (!std::strcmp(argv[i], "--priority"))
-            priority = static_cast<int>(util::parseUnsigned32(
-                next("--priority"), "--priority", 0, 1000));
-        else if (!std::strcmp(argv[i], "--retry-budget"))
-            config.retryBudget = util::parseUnsigned32(
-                next("--retry-budget"), "--retry-budget");
-        else if (!std::strcmp(argv[i], "--retry-backoff"))
+        } else if (args.is(tools::kScale))
+            scale = args.get(tools::kScale);
+        else if (args.is(tools::kApp))
+            app = args.get(tools::kApp);
+        else if (args.is("--alg"))
+            algs.push_back(args.parsed(tools::parseAlgorithm));
+        else if (args.is(tools::kDeadline))
+            deadline = args.get(tools::kDeadline);
+        else if (args.is("--priority"))
+            priority = static_cast<int>(args.number32(0, 1000));
+        else if (args.is("--retry-budget"))
+            config.retryBudget = args.number32();
+        else if (args.is("--retry-backoff"))
             config.retryBackoff =
-                std::chrono::milliseconds(util::parseUnsigned32(
-                    next("--retry-backoff"), "--retry-backoff", 1));
-        else if (!std::strcmp(argv[i], "--timeout"))
+                std::chrono::milliseconds(args.number32(1));
+        else if (args.is("--timeout"))
             config.recvTimeout =
-                std::chrono::milliseconds(util::parseUnsigned32(
-                    next("--timeout"), "--timeout", 1));
-        else if (!std::strcmp(argv[i], "--local-fallback"))
+                std::chrono::milliseconds(args.number32(1));
+        else if (args.is("--local-fallback"))
             localFallback = true;
         else
             return usage();
@@ -224,6 +209,9 @@ main(int argc, char **argv)
 {
     try {
         return run(argc, argv);
+    } catch (const tools::UsageError &e) {
+        std::fprintf(stderr, "tsp-client: %s\n", e.what());
+        return tools::kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "tsp-client: %s\n", e.what());
         return 1;

@@ -49,8 +49,10 @@
  *                      PATH; a re-run replays it and simulates only
  *                      the missing cells (crash-safe resume). The
  *                      same file works as `tsp-serve --store PATH`
- *   --deadline MS      watchdog: warn when one cell runs longer than
- *                      MS milliseconds
+ *   --deadline MS      cancel the cells not started within MS ms of
+ *                      the sweep's start (0 = none): journaled cells
+ *                      stay, and the run exits 4 like an interrupted
+ *                      one
  *   --trace-out PATH   write a per-cell Chrome trace-event timeline
  *                      (JSONL; open in chrome://tracing or Perfetto)
  *   --csv PATH         write the study as CSV to PATH
@@ -75,17 +77,17 @@
  *   --csv PATH       write the study as CSV to PATH
  *
  * Signals: a sweep or hierarchy run receiving SIGINT/SIGTERM cancels
- * cooperatively — in-flight cells finish and are journaled, the
- * checkpoint, metrics export and trace timeline are flushed, and the
- * process exits with code 4 (resume by re-running with the same
- * --checkpoint).
+ * cooperatively, as a passed --deadline does — in-flight cells finish
+ * and are journaled, the checkpoint, metrics export and trace
+ * timeline are flushed, and the process exits with code 4 (resume by
+ * re-running with the same --checkpoint).
  *
  * Exit codes: 0 success; 1 error; 2 usage; 3 degraded (failed cells /
- * chaos matrix failures); 4 interrupted by signal.
+ * chaos matrix failures); 4 interrupted by a signal or the deadline.
  *
- * All numeric flags are parsed strictly: a missing, non-numeric,
- * negative or out-of-range value is a usage error (exit 2) with a
- * message naming the flag.
+ * Flags and positional arguments are parsed strictly (tools/flags.h):
+ * a missing, malformed or out-of-range value is a usage error (exit
+ * 2) with a message naming the flag or argument.
  */
 
 #include <algorithm>
@@ -94,9 +96,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "experiment/chaos.h"
@@ -106,6 +106,7 @@
 #include "experiment/sampling_study.h"
 #include "experiment/studies.h"
 #include "fault/fault.h"
+#include "flags.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "sim/machine.h"
@@ -123,12 +124,18 @@ namespace {
 
 using namespace tsp;
 
+using tools::Args;
+
 /** Exit codes (also documented in the file header). */
 constexpr int kExitDegraded = 3;
 constexpr int kExitInterrupted = 4;
 
-/** Tripped by SIGINT/SIGTERM; polled by the sweep between cells. */
-util::CancelToken gCancel;
+/**
+ * The sweep's token, made with its --deadline before the signal
+ * handlers are installed; tripped by SIGINT/SIGTERM or by the
+ * deadline, and polled by the sweep before every cell.
+ */
+std::optional<util::CancelToken> gCancel;
 volatile std::sig_atomic_t gSignal = 0;
 
 extern "C" void
@@ -138,14 +145,8 @@ onSignal(int sig)
     // The sweep loop notices, finishes in-flight cells, flushes the
     // checkpoint/metrics/trace, and exits with kExitInterrupted.
     gSignal = sig;
-    gCancel.requestCancel();
-}
-
-void
-installSignalHandlers()
-{
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    gCancel->requestCancel(
+        "interrupted by a signal before this cell started");
 }
 
 int
@@ -169,7 +170,8 @@ usage()
         "  --fault site:nth[+]:kind  --paranoid N\n"
         "        (single run: all but --jobs; chaos: --scale, --jobs;"
         " sample: --scale,\n"
-        "        --paranoid; --jobs N is 1-1024)\n"
+        "        --paranoid; --jobs N is 1-%u)\n"
+        "%s"
         "single run: --contexts N  --cache BYTES  --assoc N"
         "  --latency N  --switch N\n"
         "            --infinite  --profile\n"
@@ -178,101 +180,17 @@ usage()
         "file as tsp-serve --store); --batch N sets the lanes per"
         " lockstep simulation\n"
         "batch (default $TSP_BATCH, else 1 = off)\n"
-        "algorithms: ");
+        "algorithms: ",
+        util::kMaxThreads,
+        tools::helpLines(tools::kScale, tools::kApp, tools::kDeadline,
+                         tools::kMetricsOut)
+            .c_str());
     for (placement::Algorithm alg : placement::allAlgorithms())
         std::fprintf(stderr, "%s ",
                      placement::algorithmName(alg).c_str());
     std::fprintf(stderr, "\n");
-    return 2;
+    return tools::kExitUsage;
 }
-
-/** A bad flag value: main() prints the error and exits 2. */
-struct UsageError : std::runtime_error
-{
-    explicit UsageError(const util::FatalError &error)
-        : std::runtime_error(error)
-    {
-    }
-};
-
-/** Walks a command's flags, handing out their values. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-        : argc_(argc), argv_(argv), next_(first)
-    {
-    }
-
-    /** Step to the next flag; false when none is left. */
-    bool
-    next()
-    {
-        if (next_ >= argc_)
-            return false;
-        flag_ = argv_[next_++];
-        return true;
-    }
-
-    /** Whether the current flag is @p name. */
-    bool is(const char *name) const { return !std::strcmp(flag_, name); }
-
-    /** The current flag's value; a usage error naming the flag when
-     *  missing. */
-    const char *
-    value()
-    {
-        if (next_ >= argc_) {
-            throw UsageError(
-                util::FatalError(std::string(flag_) + " needs a value"));
-        }
-        return argv_[next_++];
-    }
-
-    /** The current flag's value as an integer in [@p min, @p max]. */
-    uint64_t
-    number(uint64_t min = 0, uint64_t max = UINT64_MAX)
-    {
-        return parsed([&](const char *text) {
-            return util::parseUnsigned(text, flag_, min, max);
-        });
-    }
-
-    uint32_t
-    number32(uint32_t min = 0, uint32_t max = UINT32_MAX)
-    {
-        return static_cast<uint32_t>(number(min, max));
-    }
-
-    /** The current flag's value as a comma-separated integer list. */
-    std::vector<uint64_t>
-    list(uint64_t min = 0, uint64_t max = UINT64_MAX)
-    {
-        return parsed([&](const char *text) {
-            return util::parseList(text, flag_, min, max);
-        });
-    }
-
-  private:
-    /** @p parse applied to the current flag's value; a value it
-     *  rejects is a usage error. */
-    template <typename Parse>
-    std::invoke_result_t<Parse &, const char *>
-    parsed(Parse parse)
-    {
-        const char *text = value();
-        try {
-            return parse(text);
-        } catch (const util::FatalError &e) {
-            throw UsageError(e);
-        }
-    }
-
-    int argc_;
-    char **argv_;
-    int next_;
-    const char *flag_ = "";
-};
 
 /**
  * The flags the commands share. A command names the ones it accepts;
@@ -299,15 +217,17 @@ struct SharedFlags
     bool
     parse(Args &args)
     {
-        if ((accepted & kScale) && args.is("--scale")) {
-            scale = args.number32(1);
+        if ((accepted & kScale) && args.is(tools::kScale)) {
+            scale = args.get(tools::kScale);
         } else if ((accepted & kJobs) && args.is("--jobs")) {
-            jobs = args.number32(1, 1024);
-        } else if ((accepted & kMetrics) && args.is("--metrics-out")) {
-            metricsPath = args.value();
+            jobs = args.parsed(tools::parseThreads);
+        } else if ((accepted & kMetrics) && args.is(tools::kMetricsOut)) {
+            metricsPath = args.get(tools::kMetricsOut);
             obs::setMetricsEnabled(true);
         } else if ((accepted & kFault) && args.is("--fault")) {
-            fault::arm(args.value());
+            args.parsed([](const std::string &spec, const std::string &) {
+                fault::arm(spec);
+            });
         } else if ((accepted & kParanoid) && args.is("--paranoid")) {
             sim::setDefaultParanoidEvery(args.number());
         } else {
@@ -331,10 +251,11 @@ struct SharedFlags
  * `tsp-run sweep|hierarchy <app>`: the fault-tolerant placement sweep
  * — execTimeStudy for `sweep`, hierarchyStudy (one table per memory
  * system, with its L2 hit rate and interconnect queueing) for
- * `hierarchy` — in degraded mode with an optional checkpoint journal,
- * per-cell watchdog and cooperative cancel. Failed cells render as
- * FAILED; the sweep statistics (cells replayed from the checkpoint vs
- * simulated vs failed) and the failure summary print after the tables.
+ * `hierarchy` — in degraded mode with an optional checkpoint journal
+ * and cooperative cancel (a signal or the deadline). Failed cells
+ * render as FAILED; the sweep statistics (cells replayed from the
+ * checkpoint vs simulated vs failed) and the failure summary print
+ * after the tables.
  */
 int
 runSweep(int argc, char **argv)
@@ -342,12 +263,13 @@ runSweep(int argc, char **argv)
     if (argc < 3)
         return usage();
     const bool hierarchy = !std::strcmp(argv[1], "hierarchy");
-    const workload::AppId app = workload::appByName(argv[2]);
+    const workload::AppId app =
+        tools::parseArg(tools::parseApp, argv[2], "<app>");
 
     SharedFlags shared;
     unsigned batch = experiment::defaultBatchLanes();
     std::string checkpointPath, tracePath, csvPath;
-    uint64_t deadlineMs = 0;
+    std::chrono::milliseconds deadline{0};
     for (Args args(argc, argv, 3); args.next();) {
         if (shared.parse(args))
             continue;
@@ -355,8 +277,8 @@ runSweep(int argc, char **argv)
             batch = args.number32(1, 4096);
         else if (args.is("--checkpoint"))
             checkpointPath = args.value();
-        else if (args.is("--deadline"))
-            deadlineMs = args.number(1);
+        else if (args.is(tools::kDeadline))
+            deadline = args.get(tools::kDeadline);
         else if (args.is("--trace-out"))
             tracePath = args.value();
         else if (args.is("--csv"))
@@ -365,7 +287,14 @@ runSweep(int argc, char **argv)
             return usage();
     }
 
-    installSignalHandlers();
+    // The sweep starts here: its deadline counts from now.
+    using Clock = util::CancelToken::Clock;
+    gCancel.emplace(deadline.count() ? Clock::now() + deadline
+                                     : Clock::time_point::max(),
+                    Clock::now,
+                    "the --deadline passed before this cell started");
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
     std::optional<obs::TraceSink> trace;
     if (!tracePath.empty()) {
         trace.emplace(tracePath, std::string("tsp-run ") + argv[1]);
@@ -393,8 +322,7 @@ runSweep(int argc, char **argv)
          .checkpoint = checkpoint ? &*checkpoint : nullptr,
          .failures = &failures,
          .statsOut = &stats,
-         .jobDeadline = std::chrono::milliseconds(deadlineMs),
-         .cancel = &gCancel,
+         .cancel = &*gCancel,
          .onCell = [&](size_t, const auto &, double wallMs) {
              cellMsMax = std::max(cellMsMax, wallMs);
          }});
@@ -409,19 +337,14 @@ runSweep(int argc, char **argv)
                 stats.total, stats.unique, stats.fromCheckpoint,
                 stats.simulated, stats.failed);
     if (stats.cancelled)
-        std::printf("cancelled: %zu cells skipped (signal %d)\n",
-                    stats.cancelled, static_cast<int>(gSignal));
+        std::printf("cancelled: %zu cells skipped (%s)\n",
+                    stats.cancelled, gCancel->reason());
     if (stats.simulated) {
         std::printf("cell wall time: %s ms total (max %s ms per "
                     "cell)\n",
                     util::fmtFixed(stats.simulatedMs, 1).c_str(),
                     util::fmtFixed(cellMsMax, 1).c_str());
     }
-    if (stats.watchdogFlagged)
-        std::printf("watchdog: %zu cells exceeded the %llu ms "
-                    "deadline\n",
-                    stats.watchdogFlagged,
-                    static_cast<unsigned long long>(deadlineMs));
     std::printf("%s", experiment::renderFailureSummary(failures).c_str());
 
     if (!csvPath.empty()) {
@@ -439,7 +362,7 @@ runSweep(int argc, char **argv)
                     static_cast<unsigned long long>(trace->events()));
     }
     shared.writeMetrics();
-    if (gCancel.cancelled()) {
+    if (stats.cancelled || gSignal) {
         // Everything above already flushed: the checkpoint journals
         // each cell on completion, and the trace/metrics files were
         // just closed. Resuming re-runs only the skipped cells.
@@ -468,8 +391,8 @@ runChaos(int argc, char **argv)
     for (Args args(argc, argv, 2); args.next();) {
         if (shared.parse(args))
             continue;
-        if (args.is("--app"))
-            opt.app = workload::appByName(args.value());
+        if (args.is(tools::kApp))
+            opt.app = args.get(tools::kApp);
         else if (args.is("--workdir"))
             opt.workDir = args.value();
         else if (args.is("--verbose"))
@@ -517,9 +440,8 @@ runSample(int argc, char **argv)
     for (Args args(argc, argv, 2); args.next();) {
         if (shared.parse(args))
             continue;
-        if (args.is("--app")) {
-            profiles.push_back(
-                workload::profile(workload::appByName(args.value())));
+        if (args.is(tools::kApp)) {
+            profiles.push_back(workload::profile(args.get(tools::kApp)));
         } else if (args.is("--threads")) {
             synthThreads = args.number32(2, sim::kMaxProcessors);
         } else if (args.is("--mean")) {
@@ -575,14 +497,16 @@ runOne(int argc, char **argv)
 {
     if (argc < 4)
         return usage();
-    workload::AppId app = workload::appByName(argv[1]);
-    auto alg = placement::algorithmFromName(argv[2]);
-    if (!alg) {
-        std::fprintf(stderr, "unknown algorithm: %s\n", argv[2]);
-        return usage();
-    }
-    uint32_t procs = util::parseUnsigned32(argv[3], "processors", 1,
-                                           sim::kMaxProcessors);
+    const workload::AppId app =
+        tools::parseArg(tools::parseApp, argv[1], "<app>");
+    const placement::Algorithm alg =
+        tools::parseArg(tools::parseAlgorithm, argv[2], "<algorithm>");
+    const uint32_t procs = tools::parseArg(
+        [](const std::string &text, const std::string &what) {
+            return util::parseUnsigned32(text, what, 1,
+                                         sim::kMaxProcessors);
+        },
+        argv[3], "<processors>");
 
     // The single run simulates one cell, so --jobs has nothing to fan.
     SharedFlags shared{.accepted = SharedFlags::kAll & ~SharedFlags::kJobs};
@@ -625,11 +549,11 @@ runOne(int argc, char **argv)
     cfg.profileSharing = profile;
     cfg.validate();
 
-    auto placement = lab.placementFor(app, *alg, procs);
+    auto placement = lab.placementFor(app, alg, procs);
     auto stats = sim::simulate(cfg, lab.traces(app), placement);
 
     std::printf("%s | %s | %s\n", workload::appName(app).c_str(),
-                placement::algorithmName(*alg).c_str(),
+                placement::algorithmName(alg).c_str(),
                 cfg.describe().c_str());
     std::printf("placement: %s\n", placement.describe().c_str());
     std::printf("load imbalance: %s\n\n",
@@ -690,9 +614,9 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[1], "sample"))
             return runSample(argc, argv);
         return runOne(argc, argv);
-    } catch (const UsageError &e) {
+    } catch (const tools::UsageError &e) {
         std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+        return tools::kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;

@@ -10,13 +10,14 @@
  * options:
  *   --scale N            workload scale divisor (default 8)
  *   --app NAME           palette application (default Water)
- *   --workers N          daemon worker threads (default 2)
+ *   --workers N          daemon worker threads (default 2, max 1024)
  *   --capacity N         bounded queue capacity (default 64)
- *   --deadline MS        default per-request deadline (0 = none)
+ *   --deadline MS        default per-request deadline from admission
+ *                        (0 = none)
  *   --store PATH         crash-safe result store (empty = memory
  *                        only); the same file as `tsp-run sweep
  *                        --checkpoint PATH`, whose cells it serves
- *   --clients N          closed-loop clients (default 4)
+ *   --clients N          closed-loop clients (default 4, max 1024)
  *   --requests N         requests per client (default 16)
  *   --jobs-per-request N cells per request (default 1)
  *   --retry-budget N     shed retries per request (default 2)
@@ -40,24 +41,21 @@
  * built to survive).
  *
  * Exit codes: 0 success (including a signal-initiated clean drain);
- * 1 error; 2 usage.
+ * 1 error; 2 usage (also any bad flag value, named).
  */
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
-
 #include <thread>
 
+#include "flags.h"
 #include "obs/metrics.h"
 #include "svc/daemon.h"
 #include "svc/loadgen.h"
 #include "svc/server.h"
 #include "util/cancel.h"
-#include "util/error.h"
-#include "util/parse.h"
 #include "workload/suite.h"
 
 namespace {
@@ -83,17 +81,19 @@ usage()
     std::fprintf(
         stderr,
         "usage: tsp_serve [options]\n"
-        "  --scale N      --app NAME        --workers N\n"
-        "  --capacity N   --deadline MS     --store PATH\n"
-        "  --clients N    --requests N      --jobs-per-request N\n"
+        "%s"
+        "  --workers N    --clients N (each 1-%u)\n"
+        "  --capacity N   --requests N      --jobs-per-request N\n"
         "  --retry-budget N  --retry-backoff MS  --seed N\n"
-        "  --metrics-out PATH\n"
-        "  --listen PORT  --connect PORT  --host ADDR\n"
-        "  --max-connections N\n"
+        "  --listen PORT  --connect PORT  --max-connections N\n"
         "  --store PATH   result store to serve from and append to\n"
         "                 (the same file as tsp_run --checkpoint)\n"
-        "see docs/service.md for semantics and capacity tuning\n");
-    return 2;
+        "see docs/service.md for semantics and capacity tuning\n",
+        tools::helpLines(tools::kScale, tools::kApp, tools::kDeadline,
+                         tools::kHost, tools::kMetricsOut)
+            .c_str(),
+        util::kMaxThreads);
+    return tools::kExitUsage;
 }
 
 int
@@ -107,62 +107,43 @@ run(int argc, char **argv)
     int listenPort = -1;  // -1 = load-generator mode
     size_t maxConnections = 64;
 
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            util::fatalIf(i + 1 >= argc,
-                          std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--scale"))
-            config.scale = util::parseUnsigned32(next("--scale"),
-                                                 "--scale", 1);
-        else if (!std::strcmp(argv[i], "--app"))
-            app = workload::appByName(next("--app"));
-        else if (!std::strcmp(argv[i], "--workers"))
-            config.workers = util::parseUnsigned32(
-                next("--workers"), "--workers", 1, 4096);
-        else if (!std::strcmp(argv[i], "--capacity"))
-            config.queueCapacity = util::parseUnsigned32(
-                next("--capacity"), "--capacity", 1);
-        else if (!std::strcmp(argv[i], "--deadline"))
-            config.defaultDeadline =
-                std::chrono::milliseconds(util::parseUnsigned32(
-                    next("--deadline"), "--deadline"));
-        else if (!std::strcmp(argv[i], "--store"))
-            config.storePath = next("--store");
-        else if (!std::strcmp(argv[i], "--clients"))
-            loadgen.clients = util::parseUnsigned32(
-                next("--clients"), "--clients", 1, 4096);
-        else if (!std::strcmp(argv[i], "--requests"))
-            loadgen.requestsPerClient = util::parseUnsigned32(
-                next("--requests"), "--requests", 1);
-        else if (!std::strcmp(argv[i], "--jobs-per-request"))
-            loadgen.jobsPerRequest = util::parseUnsigned32(
-                next("--jobs-per-request"), "--jobs-per-request", 1);
-        else if (!std::strcmp(argv[i], "--retry-budget"))
-            loadgen.retryBudget = util::parseUnsigned32(
-                next("--retry-budget"), "--retry-budget");
-        else if (!std::strcmp(argv[i], "--retry-backoff"))
+    for (tools::Args args(argc, argv, 1); args.next();) {
+        if (args.is(tools::kScale))
+            config.scale = args.get(tools::kScale);
+        else if (args.is(tools::kApp))
+            app = args.get(tools::kApp);
+        else if (args.is("--workers"))
+            config.workers = args.parsed(tools::parseThreads);
+        else if (args.is("--capacity"))
+            config.queueCapacity = args.number32(1);
+        else if (args.is(tools::kDeadline))
+            config.defaultDeadline = args.get(tools::kDeadline);
+        else if (args.is("--store"))
+            config.storePath = args.value();
+        else if (args.is("--clients"))
+            loadgen.clients = args.parsed(tools::parseThreads);
+        else if (args.is("--requests"))
+            loadgen.requestsPerClient = args.number32(1);
+        else if (args.is("--jobs-per-request"))
+            loadgen.jobsPerRequest = args.number32(1);
+        else if (args.is("--retry-budget"))
+            loadgen.retryBudget = args.number32();
+        else if (args.is("--retry-backoff"))
             loadgen.retryBackoff =
-                std::chrono::milliseconds(util::parseUnsigned32(
-                    next("--retry-backoff"), "--retry-backoff", 1));
-        else if (!std::strcmp(argv[i], "--seed"))
-            loadgen.seed = util::parseUnsigned32(next("--seed"),
-                                                 "--seed");
-        else if (!std::strcmp(argv[i], "--metrics-out"))
-            metricsOut = next("--metrics-out");
-        else if (!std::strcmp(argv[i], "--listen"))
-            listenPort = static_cast<int>(util::parseUnsigned32(
-                next("--listen"), "--listen", 0, 65535));
-        else if (!std::strcmp(argv[i], "--connect"))
+                std::chrono::milliseconds(args.number32(1));
+        else if (args.is("--seed"))
+            loadgen.seed = args.number32();
+        else if (args.is(tools::kMetricsOut))
+            metricsOut = args.get(tools::kMetricsOut);
+        else if (args.is("--listen"))
+            listenPort = static_cast<int>(args.number32(0, 65535));
+        else if (args.is("--connect"))
             loadgen.serverPort =
-                static_cast<uint16_t>(util::parseUnsigned32(
-                    next("--connect"), "--connect", 1, 65535));
-        else if (!std::strcmp(argv[i], "--host"))
-            host = next("--host");
-        else if (!std::strcmp(argv[i], "--max-connections"))
-            maxConnections = util::parseUnsigned32(
-                next("--max-connections"), "--max-connections", 1);
+                static_cast<uint16_t>(args.number32(1, 65535));
+        else if (args.is(tools::kHost))
+            host = args.get(tools::kHost);
+        else if (args.is("--max-connections"))
+            maxConnections = args.number32(1);
         else
             return usage();
     }
@@ -261,6 +242,9 @@ main(int argc, char **argv)
     std::signal(SIGTERM, onSignal);
     try {
         return run(argc, argv);
+    } catch (const tools::UsageError &e) {
+        std::fprintf(stderr, "tsp-serve: %s\n", e.what());
+        return tools::kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "tsp-serve: %s\n", e.what());
         return 1;
