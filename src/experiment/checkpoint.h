@@ -6,7 +6,7 @@
  * (`SweepOptions::checkpoint`, `tsp-run --checkpoint`) records every
  * cell it completes, so a killed sweep resumes by replaying the file
  * and simulating only the missing cells; the daemon
- * (`Daemon::Config::storePath`, `tsp-serve --store`) serves repeated
+ * (`Daemon::Config::storePath`, `tsp-run serve --store`) serves repeated
  * cells from it across restarts. Both may share one file.
  *
  * File format ("TSPS", version 3, little-endian):

@@ -52,8 +52,24 @@ class Outcome
         return o;
     }
 
+    /**
+     * Build the outcome of a cell a CancelToken skipped, carrying the
+     * token's @p reason: no value, and no failure either (a resume
+     * runs the cell).
+     */
+    static Outcome
+    cancellation(std::string reason)
+    {
+        Outcome o = failure(std::move(reason));
+        o.cancelled_ = true;
+        return o;
+    }
+
     /** True when a value is present. */
     bool ok() const { return ok_; }
+
+    /** True when the cell was skipped; error() is the reason. */
+    bool cancelled() const { return cancelled_; }
 
     /** The value; PanicError when the outcome is a failure. */
     const T &
@@ -83,6 +99,7 @@ class Outcome
 
   private:
     bool ok_ = false;
+    bool cancelled_ = false;
     std::string error_ =
         "job never ran (sweep ended before this cell was attempted)";
     T value_{};

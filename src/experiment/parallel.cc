@@ -157,7 +157,6 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     std::atomic<bool> panicked{false};
     std::exception_ptr panic;
     std::mutex panicMutex;
-    std::atomic<size_t> cancelledCells{0};
 
     auto notePanic = [&] {
         std::lock_guard<std::mutex> lock(panicMutex);
@@ -175,8 +174,7 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     // these cells.
     auto cancelCell = [&](size_t p) {
         unique[pending[p]] =
-            Outcome<RunResult>::failure(options_.cancel->reason());
-        cancelledCells.fetch_add(1, std::memory_order_relaxed);
+            Outcome<RunResult>::cancellation(options_.cancel->reason());
         settle(pending[p], 0.0);
     };
 
@@ -381,13 +379,13 @@ ParallelRunner::runAllOutcomes(const std::vector<RunJob> &jobs)
     if (panic)
         std::rethrow_exception(panic);
 
-    stats_.cancelled = cancelledCells.load();
-    stats_.executed = pending.size() - stats_.cancelled;
     for (size_t u : pending) {
-        if (!unique[u].ok())
+        if (unique[u].cancelled())
+            ++stats_.cancelled;  // skipped, not genuinely failed
+        else if (!unique[u].ok())
             ++stats_.failed;
     }
-    stats_.failed -= stats_.cancelled;  // cancelled != genuinely failed
+    stats_.executed = pending.size() - stats_.cancelled;
     stats_.placements = placements.load();
     size_t shared = 0;
     for (size_t m = 0; m < machines.size(); ++m) {

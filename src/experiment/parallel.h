@@ -35,7 +35,7 @@
  *    before every cell's preparation and every simulation, so a token
  *    tripped by a signal or by its own deadline stops new cells from
  *    starting; finished cells stay journaled and the skipped cells
- *    report failed Outcomes, keeping the sweep resumable.
+ *    report cancelled Outcomes, keeping the sweep resumable.
  */
 
 #ifndef TSP_EXPERIMENT_PARALLEL_H
@@ -136,10 +136,10 @@ struct SweepOptions
      * token before each cell's preparation (placement included) and
      * before each simulation. Once the token trips (a signal handler,
      * its own deadline, another thread), cells not yet started become
-     * failed Outcomes ("sweep cancelled...") while in-flight cells
-     * run to completion and are journaled normally — so a cancelled
-     * sweep is always cleanly resumable. A skipped cell's error is
-     * the token's reason().
+     * cancelled Outcomes (Outcome::cancellation) while in-flight
+     * cells run to completion and are journaled normally — so a
+     * cancelled sweep is always cleanly resumable. A skipped cell's
+     * error is the token's reason().
      */
     const util::CancelToken *cancel = nullptr;
 

@@ -119,11 +119,14 @@ indexOf(std::vector<T> &seen, const T &value)
     return seen.size() - 1;
 }
 
-/** The "status" CSV cell of a row: "ok" or the failure message. */
+/** The "status" CSV cell of a row: "ok", or why it has no result. */
+template <typename Row>
 std::string
-statusCell(bool failed, const std::string &error)
+statusCell(const Row &row)
 {
-    return failed ? "failed: " + error : "ok";
+    if (row.cancelled)
+        return "cancelled: " + row.error;
+    return row.failed ? "failed: " + row.error : "ok";
 }
 
 } // namespace
@@ -183,9 +186,11 @@ renderSweepTables(const std::string &title,
                 continue;
             auto &line = lines[indexOf(algs, row.alg)];
             line[indexOf(header, row.point.label())] =
-                row.failed ? "FAILED"
-                           : util::fmtFixed(row.normalizedToRandom, 3);
-            if (row.alg == placement::Algorithm::Random && !row.failed)
+                row.cancelled ? "CANCELLED"
+                : row.failed  ? "FAILED"
+                              : util::fmtFixed(row.normalizedToRandom, 3);
+            if (row.alg == placement::Algorithm::Random && !row.failed &&
+                !row.cancelled)
                 random = &row;
         }
         util::TextTable table(systems.size() > 1
@@ -230,7 +235,7 @@ writeExecTimeCsv(const std::string &path,
                  std::to_string(pt.cycles),
                  num(pt.normalizedToRandom), num(pt.loadImbalance),
                  util::fmtFixed(pt.wallMs, 3),
-                 statusCell(pt.failed, pt.error)});
+                 statusCell(pt)});
     }
 }
 
@@ -254,7 +259,7 @@ writeHierarchyCsv(const std::string &path,
                  std::to_string(pt.l2Misses),
                  std::to_string(pt.netQueueingCycles),
                  util::fmtFixed(pt.wallMs, 3),
-                 statusCell(pt.failed, pt.error)});
+                 statusCell(pt)});
     }
 }
 
@@ -276,7 +281,7 @@ writeMissComponentsCsv(const std::string &path,
                  std::to_string(row.invalidation),
                  std::to_string(row.refs),
                  util::fmtFixed(row.wallMs, 3),
-                 statusCell(row.failed, row.error)});
+                 statusCell(row)});
     }
 }
 
@@ -312,7 +317,7 @@ writeTable5Csv(const std::string &path,
                  placement::algorithmName(cell.bestStatic),
                  num(cell.bestStaticVsLoadBal),
                  num(cell.coherenceVsLoadBal),
-                 statusCell(cell.failed, cell.error)});
+                 statusCell(cell)});
     }
 }
 

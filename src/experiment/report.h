@@ -74,8 +74,9 @@ void writeFailuresCsv(const std::string &path,
  * Render placement-sweep rows as the text tables of Figures 2-4: one
  * line per algorithm and one column per machine point, both in row
  * order, each cell the execution time normalized to RANDOM (or
- * FAILED). Rows spanning several memory systems render one table per
- * system, titled "<title> on <system>" and separated by a blank line.
+ * FAILED, or CANCELLED). Rows spanning several memory systems render
+ * one table per system, titled "<title> on <system>" and separated by
+ * a blank line.
  * Under a system's table, its last healthy RANDOM row reports the L2
  * hit rate and interconnect queueing when either is non-zero.
  */

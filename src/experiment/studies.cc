@@ -15,7 +15,9 @@ namespace {
  * Run @p fanout once over a ParallelRunner and apply the failure
  * policy: in strict mode (no failures sink) rethrow the first
  * (input-order) failure; in degraded mode append every failed job to
- * the sink and let the caller mark cells. @p cellMillis receives each
+ * the sink and let the caller mark cells. A job the cancel token
+ * skipped is no failure: it neither throws nor reaches the sink, and
+ * the caller marks its cells cancelled. @p cellMillis receives each
  * job's wall time; the caller's onCell still sees every cell.
  */
 std::vector<Outcome<RunResult>>
@@ -33,7 +35,7 @@ runFanout(Lab &lab, const std::vector<RunJob> &fanout,
     auto outcomes =
         ParallelRunner(lab, runOptions).runAllOutcomes(fanout);
     for (size_t i = 0; i < fanout.size(); ++i) {
-        if (outcomes[i].ok())
+        if (outcomes[i].ok() || outcomes[i].cancelled())
             continue;
         if (!options.failures) {
             util::fatal("sweep job " + describeJob(fanout[i]) +
@@ -42,6 +44,24 @@ runFanout(Lab &lab, const std::vector<RunJob> &fanout,
         options.failures->push_back({fanout[i], outcomes[i].error()});
     }
     return outcomes;
+}
+
+/**
+ * Mark @p row (a SweepRow or Table5Cell) unanswered because @p oc
+ * failed or was cancelled; @p cell names the cell @p oc answers when
+ * it is not the row's own.
+ */
+template <typename Row>
+void
+markUnanswered(Row &row, const Outcome<RunResult> &oc,
+               const std::string &cell = "")
+{
+    (oc.cancelled() ? row.cancelled : row.failed) = true;
+    row.error = cell.empty() ? oc.error()
+                             : cell +
+                                   (oc.cancelled() ? " cancelled: "
+                                                   : " failed: ") +
+                                   oc.error();
 }
 
 /**
@@ -95,8 +115,7 @@ placementSweep(Lab &lab, AppId app, const std::vector<Algorithm> &algs,
         row.point = job.point;
         row.wallMs = cellMillis[cellOf[r]];
         if (!oc.ok()) {
-            row.failed = true;
-            row.error = oc.error();
+            markUnanswered(row, oc);
             continue;
         }
         const RunResult &res = oc.value();
@@ -113,8 +132,7 @@ placementSweep(Lab &lab, AppId app, const std::vector<Algorithm> &algs,
         row.netQueueingCycles = res.stats.networkQueueingCycles;
         if (!baseline.ok()) {
             // The cell ran but has nothing to normalize to.
-            row.failed = true;
-            row.error = "RANDOM baseline failed: " + baseline.error();
+            markUnanswered(row, baseline, "RANDOM baseline");
             continue;
         }
         const uint64_t randomCycles = baseline.value().executionTime;
@@ -217,9 +235,7 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
 
         const auto &loadBalOc = outcomes[p * stride];
         if (!loadBalOc.ok()) {
-            cell.failed = true;
-            cell.error =
-                "LOAD-BAL baseline failed: " + loadBalOc.error();
+            markUnanswered(cell, loadBalOc, "LOAD-BAL baseline");
             out.push_back(cell);
             continue;
         }
@@ -229,8 +245,11 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
 
         double best = 0.0;
         bool first = true;
+        const Outcome<RunResult> *skipped = nullptr;
         for (size_t a = 0; a < pool.size(); ++a) {
             const auto &oc = outcomes[p * stride + 1 + a];
+            if (oc.cancelled())
+                skipped = &oc;
             if (!oc.ok())
                 continue;  // failed algorithm: out of the contest
             double norm =
@@ -242,6 +261,12 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
                 first = false;
             }
         }
+        if (skipped) {
+            // A skipped algorithm might have won: no contest yet.
+            markUnanswered(cell, *skipped, "a static sharing algorithm");
+            out.push_back(cell);
+            continue;
+        }
         if (first) {
             cell.failed = true;
             cell.error = "every static sharing algorithm failed";
@@ -252,9 +277,7 @@ table5Study(Lab &lab, AppId app, const SweepOptions &options)
 
         const auto &cohOc = outcomes[p * stride + stride - 1];
         if (!cohOc.ok()) {
-            cell.failed = true;
-            cell.error =
-                "COHERENCE-TRAFFIC failed: " + cohOc.error();
+            markUnanswered(cell, cohOc, "COHERENCE-TRAFFIC");
         } else {
             cell.coherenceVsLoadBal =
                 static_cast<double>(cohOc.value().executionTime) /

@@ -10,9 +10,11 @@
  * Checkpoint to journal/replay cells, a failures sink that turns
  * per-cell FatalErrors into reported-and-skipped rows (rows carry
  * `failed`/`error`), and a CancelToken, which a signal or its own
- * deadline trips to skip the cells not yet started. Without a
- * failures sink the drivers keep their strict behavior — the first
- * failed cell throws. Callers set only what they need:
+ * deadline trips to skip the cells not yet started (their rows carry
+ * `cancelled` and the token's reason in `error`; a skipped cell is no
+ * failure and never reaches the sink). Without a failures sink the
+ * drivers keep their strict behavior — the first failed cell throws.
+ * Callers set only what they need:
  * `execTimeStudy(lab, app, algs, {.jobs = 1})`.
  */
 
@@ -73,6 +75,10 @@ struct SweepRow
 
     /** Cell failed (only in degraded sweeps); @ref error says why. */
     bool failed = false;
+
+    /** Cell (or its baseline) skipped by the sweep's CancelToken;
+     *  @ref error holds the token's reason. */
+    bool cancelled = false;
     std::string error;
 
     uint64_t
@@ -165,6 +171,10 @@ struct Table5Cell
 
     /** Cell failed (only in degraded sweeps); @ref error says why. */
     bool failed = false;
+
+    /** A cell it needs was skipped by the sweep's CancelToken;
+     *  @ref error holds the token's reason. */
+    bool cancelled = false;
     std::string error;
 };
 

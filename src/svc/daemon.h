@@ -28,7 +28,7 @@
  *  - *graceful drain* — beginDrain() stops admission while queued and
  *    in-flight requests finish normally; drain() additionally blocks
  *    until the service is idle and joins the workers (the SIGTERM
- *    path of tsp-serve);
+ *    path of `tsp-run serve`);
  *  - *durable memoization* — with a store path configured, completed
  *    cells are appended to a crash-safe result store
  *    (experiment::Checkpoint, the file format a sweep's --checkpoint
@@ -151,7 +151,7 @@ struct StudyResponse
  * @p options' store, cancellation token and per-cell hook. The
  * counts come from the runner's SweepStats; the status is
  * DeadlineExceeded when the token skipped cells, else Completed. The
- * daemon and both local fallbacks (loadgen, tsp-client) answer
+ * daemon and both local fallbacks (loadgen, `tsp-run client`) answer
  * through here.
  */
 StudyResponse runStudy(experiment::Lab &lab,
@@ -159,9 +159,9 @@ StudyResponse runStudy(experiment::Lab &lab,
                        experiment::SweepOptions options = {});
 
 /**
- * One cell's answer as text, the unit of the loadgen and tsp-client
- * result digests: "<job> => t=<cycles> imb=<hex bits> refs=<n>
- * miss=<n>", or "<job> => FAILED(<error>)".
+ * One cell's answer as text, the unit of the loadgen and
+ * `tsp-run client` result digests: "<job> => t=<cycles> imb=<hex
+ * bits> refs=<n> miss=<n>", or "<job> => FAILED(<error>)".
  */
 std::string cellResultLine(
     const experiment::RunJob &job,

@@ -3,7 +3,7 @@
  * Closed-loop load generator for the experiment daemon: N client
  * threads each submit a request drawn from a job palette, wait for
  * the answer, and repeat — the overload-survival harness behind
- * `tsp-serve` and the service CI smoke.
+ * `tsp-run serve` and the service CI smoke.
  *
  * A shed submission is retried on the client's deterministic
  * decorrelated-jitter backoff schedule (util::jitteredRetryPolicy,

@@ -25,7 +25,7 @@
  *    and every other connection keep running;
  *  - *graceful drain* — beginDrain() stops admitting work, stop()
  *    flushes already-earned answers (bounded by drainTimeout) before
- *    closing sockets: the tsp-serve SIGTERM path.
+ *    closing sockets: the `tsp-run serve` SIGTERM path.
  */
 
 #ifndef TSP_SVC_SERVER_H

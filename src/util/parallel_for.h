@@ -29,7 +29,7 @@ namespace tsp::util {
 
 /**
  * The most threads one knob may ask for: TSP_JOBS, `tsp-run --jobs`,
- * and `tsp-serve --workers` and `--clients` each take 1 to this.
+ * and `tsp-run serve --workers` and `--clients` each take 1 to this.
  */
 constexpr unsigned kMaxThreads = 1024;
 

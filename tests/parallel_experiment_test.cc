@@ -12,15 +12,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "experiment/checkpoint.h"
 #include "experiment/lab.h"
 #include "experiment/parallel.h"
+#include "experiment/report.h"
 #include "experiment/run_codec.h"
 #include "experiment/studies.h"
 #include "obs/metric_defs.h"
@@ -884,6 +888,79 @@ TEST(Cancellation, MidSweepCancelIsCleanlyResumable)
                   baseline[i].placement.assignment());
     }
     std::remove(path.c_str());
+}
+
+TEST(Cancellation, SkippedStudyCellsAreCancelledNotFailed)
+{
+    // The first cell prepared fails and trips the token on its way
+    // out: it is the sink's one failure, and every other row comes
+    // back cancelled with the token's reason, in each study that
+    // fans out through the same runner.
+    constexpr const char *kReason = "test: cancelled mid-study";
+    const std::vector<Algorithm> algs = {
+        Algorithm::Random, Algorithm::LoadBal, Algorithm::ShareRefs};
+    for (int study = 0; study < 3; ++study) {
+        SCOPED_TRACE(testing::Message() << "study " << study);
+        Lab lab(kScale);
+        util::CancelToken token;
+        std::vector<JobFailure> failures;
+        SweepStats stats;
+        SweepOptions options;
+        options.jobs = 1;  // input order: the first job fails first
+        options.failures = &failures;
+        options.statsOut = &stats;
+        options.cancel = &token;
+        options.faultInjector = [&token](const RunJob &) {
+            token.requestCancel(kReason);
+            util::fatal("injected cell failure");
+        };
+
+        // Each row as (failed, cancelled, error).
+        std::vector<std::tuple<bool, bool, std::string>> rows;
+        if (study < 2) {
+            const auto sweep =
+                (study ? hierarchyStudy : execTimeStudy)(
+                    lab, AppId::Water, algs, options);
+            for (const SweepRow &row : sweep)
+                rows.emplace_back(row.failed, row.cancelled, row.error);
+
+            const std::string csv =
+                testing::TempDir() + "/cancelled_study.csv";
+            writeHierarchyCsv(csv, sweep);
+            std::ifstream in(csv);
+            const std::string text{std::istreambuf_iterator<char>(in),
+                                   {}};
+            EXPECT_NE(text.find(std::string(",cancelled: ") + kReason),
+                      std::string::npos)
+                << text;
+            std::remove(csv.c_str());
+            EXPECT_NE(renderSweepTables("t", sweep).find("CANCELLED"),
+                      std::string::npos);
+        } else {
+            for (const Table5Cell &cell :
+                 table5Study(lab, AppId::Water, options))
+                rows.emplace_back(cell.failed, cell.cancelled,
+                                  cell.error);
+        }
+
+        ASSERT_EQ(failures.size(), 1u);
+        EXPECT_NE(failures[0].error.find("injected"), std::string::npos);
+        EXPECT_EQ(stats.failed, 1u);
+        EXPECT_EQ(stats.cancelled, stats.unique - 1);
+        ASSERT_GT(rows.size(), 1u);
+        // The failed job's own rows come first in every study layout.
+        EXPECT_TRUE(std::get<0>(rows[0]));
+        EXPECT_FALSE(std::get<1>(rows[0]));
+        size_t cancelledRows = 0;
+        for (const auto &[failed, cancelled, error] : rows) {
+            if (failed)
+                continue;
+            ++cancelledRows;
+            EXPECT_TRUE(cancelled) << error;
+            EXPECT_NE(error.find(kReason), std::string::npos) << error;
+        }
+        EXPECT_GT(cancelledRows, 0u);
+    }
 }
 
 } // namespace

@@ -1,15 +1,15 @@
-# Runs each tool with one bad value: every one must exit 2 and name
-# the flag or positional argument it rejects. Each command fails while
-# its command line is parsed, so none starts a thread or a simulation.
+# Runs each tsp-run command with one bad argument: every one must exit
+# 2 and name the flag or positional argument it rejects, and the value
+# where there is one. Each command fails while its command line is
+# parsed, so none starts a thread or a simulation or touches a file.
 #
-#   cmake -DTSP_RUN=<tsp-run> -DTSP_SERVE=<tsp-serve>
-#         -DTSP_CLIENT=<tsp-client> -P tool_usage_test.cmake
+#   cmake -DTSP_RUN=<tsp-run> -P tool_usage_test.cmake
 
 set(failures 0)
 
-# expect_usage_error(<name> <command...>): <command> exits 2 and its
-# stderr names <name>.
-function(expect_usage_error name)
+# expect_usage_error(<message> <command...>): <command> exits 2 and its
+# stderr matches the regex <message>.
+function(expect_usage_error message)
     execute_process(COMMAND ${ARGN}
         RESULT_VARIABLE code
         OUTPUT_QUIET
@@ -18,8 +18,8 @@ function(expect_usage_error name)
     string(REPLACE ";" " " command "${ARGN}")
     if(NOT code STREQUAL "2")
         message(SEND_ERROR "${command}: exit ${code}, expected 2: ${err}")
-    elseif(NOT err MATCHES "${name}")
-        message(SEND_ERROR "${command}: the message names no ${name}: ${err}")
+    elseif(NOT err MATCHES "${message}")
+        message(SEND_ERROR "${command}: no '${message}' in: ${err}")
     else()
         message(STATUS "${command}: exit 2, ${err}")
         return()
@@ -28,21 +28,55 @@ function(expect_usage_error name)
     set(failures ${failed} PARENT_SCOPE)
 endfunction()
 
-expect_usage_error(--port ${TSP_CLIENT} --port 0)
-expect_usage_error(--alg ${TSP_CLIENT} --alg NOPE --port 1)
-expect_usage_error(--deadline ${TSP_CLIENT} --port 1 --deadline -5)
-expect_usage_error(--workers ${TSP_SERVE} --workers 0)
-expect_usage_error(--workers ${TSP_SERVE} --workers 1025)
-expect_usage_error(--clients ${TSP_SERVE} --clients 1025)
-expect_usage_error(--scale ${TSP_SERVE} --scale 3)
-expect_usage_error(--app ${TSP_RUN} sample --app Bogus)
-expect_usage_error(<app> ${TSP_RUN} sweep Bogus)
-expect_usage_error(--deadline ${TSP_RUN} sweep Water --deadline x)
-expect_usage_error(--jobs ${TSP_RUN} hierarchy Water --jobs 1025)
-expect_usage_error(--fault ${TSP_RUN} sweep Water --fault bogus)
-expect_usage_error(<algorithm> ${TSP_RUN} Water BOGUS 4)
-expect_usage_error(<processors> ${TSP_RUN} Water LOAD-BAL 0)
+expect_usage_error("--port: value 0 " ${TSP_RUN} client --port 0)
+expect_usage_error("--alg: unknown algorithm: NOPE"
+    ${TSP_RUN} client --alg NOPE --port 1)
+expect_usage_error("--deadline: invalid numeric value '-5'"
+    ${TSP_RUN} client --port 1 --deadline -5)
+expect_usage_error("--port is required" ${TSP_RUN} client)
+expect_usage_error("--workers: value 0 " ${TSP_RUN} serve --workers 0)
+expect_usage_error("--workers: value '1025' "
+    ${TSP_RUN} serve --workers 1025)
+expect_usage_error("--clients: value '1025' "
+    ${TSP_RUN} serve --clients 1025)
+expect_usage_error("--scale: value 3 is not a power of two"
+    ${TSP_RUN} serve --scale 3)
+expect_usage_error("--app: unknown application: Bogus"
+    ${TSP_RUN} sample --app Bogus)
+expect_usage_error("<app>: unknown application: Bogus"
+    ${TSP_RUN} sweep Bogus)
+expect_usage_error("--deadline: invalid numeric value 'x'"
+    ${TSP_RUN} sweep Water --deadline x)
+expect_usage_error("--jobs: value '1025' "
+    ${TSP_RUN} hierarchy Water --jobs 1025)
+expect_usage_error("--fault: fault spec 'bogus' "
+    ${TSP_RUN} sweep Water --fault bogus)
+expect_usage_error("--bogus: unknown flag" ${TSP_RUN} sweep Water --bogus)
+expect_usage_error("<algorithm>: unknown algorithm: BOGUS"
+    ${TSP_RUN} Water BOGUS 4)
+expect_usage_error("<processors>: value 0 " ${TSP_RUN} Water LOAD-BAL 0)
+
+# trace: the positionals parse before any file is read or written.
+expect_usage_error("<app>: unknown application: Bogus"
+    ${TSP_RUN} trace gen Bogus x.tspt)
+expect_usage_error("<scale>: value 3 is not a power of two"
+    ${TSP_RUN} trace gen Water x.tspt 3)
+expect_usage_error("<thread>: invalid numeric value 'nope'"
+    ${TSP_RUN} trace dump x.tspt nope)
+expect_usage_error("trace <command>: unknown command: bogus"
+    ${TSP_RUN} trace bogus)
+
+# Each retry flag names one meaning (serve --shed-*, client
+# --reconnect*): --retry-budget and --retry-backoff are neither.
+expect_usage_error("--retry-budget: unknown flag"
+    ${TSP_RUN} serve --retry-budget 1)
+expect_usage_error("--retry-backoff: unknown flag"
+    ${TSP_RUN} serve --retry-backoff 1)
+expect_usage_error("--retry-budget: unknown flag"
+    ${TSP_RUN} client --port 1 --retry-budget 1)
+expect_usage_error("--retry-backoff: unknown flag"
+    ${TSP_RUN} client --port 1 --retry-backoff 1)
 
 if(failures)
-    message(FATAL_ERROR "${failures} tool commands broke the usage rule")
+    message(FATAL_ERROR "${failures} tsp-run commands broke the usage rule")
 endif()

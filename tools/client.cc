@@ -1,42 +1,17 @@
 /**
  * @file
- * tsp-client: submit one study request to a tsp-serve --listen
- * daemon over the wire protocol, stream its progress, and print the
- * per-cell results with a drift-proof digest — the CI network smoke's
- * client half and a human probe for a running service
- * (docs/service.md).
- *
- *   tsp_client --port PORT [options]
- *
- * options:
- *   --host ADDR          server address (default 127.0.0.1)
- *   --port N             server port (required)
- *   --scale N            workload scale divisor (default 8); must
- *                        match the server's for store cache hits
- *   --app NAME           application (default Water)
- *   --alg NAME           placement algorithm; repeatable, one cell
- *                        per use at the first standard machine point
- *                        (default: LOAD-BAL and SHARE-REFS)
- *   --deadline MS        per-request deadline from admission (0 = none
- *                        of its own: the server's default applies)
- *   --priority N         request priority (default 0)
- *   --retry-budget N     reconnect-and-reissue attempts (default 3)
- *   --retry-backoff MS   initial reconnect backoff (default 10)
- *   --timeout MS         receive silence budget; reset by every
- *                        progress frame (default 10000)
- *   --local-fallback     when the transport stays dead past the
- *                        budget, run the cells locally instead of
- *                        failing (the simulation is deterministic, so
- *                        the digest is unchanged)
- *
- * Re-issuing the same request is idempotent: the server memoizes
- * completed cells in the result store, so a retry after a torn
- * connection — or a kill -9 and restart — lands as cache hits with a
- * bit-identical answer.
- *
- * Exit codes: 0 answered (including via --local-fallback);
- * 1 transport dead; 2 usage (also any bad flag value, named);
- * 3 rejected by a healthy server.
+ * `tsp-run client`: submit one study request to a `tsp-run serve
+ * --listen` daemon over the wire protocol, stream its progress, and
+ * print the per-cell results with a drift-proof digest — the CI
+ * network smoke's client half and a probe for a running service
+ * (docs/service.md). The cells are each --alg (default LOAD-BAL and
+ * SHARE-REFS) at the first standard machine point; --scale must match
+ * the server's for store cache hits. Re-issuing the same request is
+ * idempotent: the server memoizes completed cells in the result
+ * store, so a retry after a torn connection — or a kill -9 and
+ * restart — lands as cache hits with a bit-identical answer, and
+ * --local-fallback runs the cells locally, to the same digest, when
+ * the transport stays dead past --reconnects.
  */
 
 #include <cstdio>
@@ -49,34 +24,17 @@
 #include "flags.h"
 #include "svc/client.h"
 #include "svc/daemon.h"
+#include "tsp-run.h"
 #include "util/checksum.h"
 #include "workload/suite.h"
 
-namespace {
+namespace tsp::tools {
 
-using namespace tsp;
 using experiment::MachinePoint;
 using experiment::RunJob;
 
 int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: tsp_client --port PORT [options]\n"
-        "%s"
-        "  --alg NAME (repeatable)\n"
-        "  --priority N   --retry-budget N  --retry-backoff MS\n"
-        "  --timeout MS   --local-fallback\n"
-        "see docs/service.md for the wire protocol and semantics\n",
-        tools::helpLines(tools::kHost, tools::kScale, tools::kApp,
-                         tools::kDeadline)
-            .c_str());
-    return tools::kExitUsage;
-}
-
-int
-run(int argc, char **argv)
+runClient(int argc, char **argv)
 {
     svc::Client::Config config;
     workload::AppId app = workload::AppId::Water;
@@ -85,27 +43,25 @@ run(int argc, char **argv)
     std::chrono::milliseconds deadline{0};
     int priority = 0;
     bool localFallback = false;
-    bool havePort = false;
 
-    for (tools::Args args(argc, argv, 1); args.next();) {
-        if (args.is(tools::kHost))
-            config.host = args.get(tools::kHost);
-        else if (args.is("--port")) {
+    for (Args args(argc, argv, 2); args.next();) {
+        if (args.is(kHost))
+            config.host = args.get(kHost);
+        else if (args.is("--port"))
             config.port = static_cast<uint16_t>(args.number32(1, 65535));
-            havePort = true;
-        } else if (args.is(tools::kScale))
-            scale = args.get(tools::kScale);
-        else if (args.is(tools::kApp))
-            app = args.get(tools::kApp);
+        else if (args.is(kScale))
+            scale = args.get(kScale);
+        else if (args.is(kApp))
+            app = args.get(kApp);
         else if (args.is("--alg"))
-            algs.push_back(args.parsed(tools::parseAlgorithm));
-        else if (args.is(tools::kDeadline))
-            deadline = args.get(tools::kDeadline);
+            algs.push_back(args.parsed(parseAlgorithm));
+        else if (args.is(kDeadline))
+            deadline = args.get(kDeadline);
         else if (args.is("--priority"))
             priority = static_cast<int>(args.number32(0, 1000));
-        else if (args.is("--retry-budget"))
+        else if (args.is("--reconnects"))
             config.retryBudget = args.number32();
-        else if (args.is("--retry-backoff"))
+        else if (args.is("--reconnect-backoff"))
             config.retryBackoff =
                 std::chrono::milliseconds(args.number32(1));
         else if (args.is("--timeout"))
@@ -114,14 +70,14 @@ run(int argc, char **argv)
         else if (args.is("--local-fallback"))
             localFallback = true;
         else
-            return usage();
+            throw args.unknown();
     }
-    if (!havePort)
-        return usage();
+    if (config.port == 0)
+        throw UsageError("--port is required");
     if (algs.empty())
         algs = {placement::Algorithm::LoadBal,
                 placement::Algorithm::ShareRefs};
-    config.identity = "svc.tsp-client";
+    config.identity = "tsp-run client";
 
     // The request's cells: each named algorithm at the first standard
     // machine point of the scaled workload. The point depends only on
@@ -142,7 +98,7 @@ run(int argc, char **argv)
         request.jobs.push_back({app, alg, point, false});
     std::vector<RunJob> jobs = request.jobs;
 
-    std::printf("tsp-client: %s scale %u -> %s:%u (%zu cells)\n",
+    std::printf("client: %s scale %u -> %s:%u (%zu cells)\n",
                 workload::appName(app).c_str(), scale,
                 config.host.c_str(),
                 static_cast<unsigned>(config.port), jobs.size());
@@ -166,7 +122,7 @@ run(int argc, char **argv)
     if (got.rejected) {
         std::printf("rejected: %s (%u attempts)\n",
                     got.rejection.c_str(), got.attempts);
-        return 3;
+        return kExitDegraded;
     }
     std::optional<svc::StudyResponse> answer;
     if (got.answered) {
@@ -184,7 +140,7 @@ run(int argc, char **argv)
         std::printf("transport dead after %u attempts "
                     "(%u reconnects)\n",
                     got.attempts, got.reconnects);
-        return 1;
+        return kExitError;
     }
 
     const svc::StudyResponse &response = *answer;
@@ -202,18 +158,4 @@ run(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    try {
-        return run(argc, argv);
-    } catch (const tools::UsageError &e) {
-        std::fprintf(stderr, "tsp-client: %s\n", e.what());
-        return tools::kExitUsage;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "tsp-client: %s\n", e.what());
-        return 1;
-    }
-}
+} // namespace tsp::tools

@@ -1,18 +1,18 @@
 /**
  * @file
- * The tools' one flag parser. Args walks a command line and hands out
- * flag values; a missing or bad value, and a bad positional argument,
- * is a UsageError that names the flag or argument, and each tool's
- * main() prints it and exits 2. The flags more than one tool takes are
- * defined here once: name, help line, and the parse that bounds the
- * value. Parsing starts no thread, so a thread count is rejected
- * before any thread starts.
+ * tsp-run's one argument parser. Args walks a command line and hands
+ * out its positional arguments and flag values; a missing or bad
+ * value, a missing or bad positional argument and a flag the command
+ * does not take are each a UsageError that names the flag or
+ * argument, which main() prints before it exits kExitUsage. The flags
+ * more than one command takes are defined here once: name, and the
+ * parse that bounds the value. Parsing starts no thread, so a thread
+ * count is rejected before any thread starts.
  */
 
 #ifndef TSP_TOOLS_FLAGS_H
 #define TSP_TOOLS_FLAGS_H
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -29,9 +29,6 @@
 #include "workload/suite.h"
 
 namespace tsp::tools {
-
-/** Exit code of a usage error. */
-constexpr int kExitUsage = 2;
 
 /** A bad command line: main() prints it and exits kExitUsage. */
 struct UsageError : util::FatalError
@@ -56,7 +53,7 @@ struct UsageError : util::FatalError
 
 /**
  * @p parse(@p text, @p what); a FatalError it throws becomes a
- * UsageError naming @p what. Also the parse of a positional argument.
+ * UsageError naming @p what.
  */
 template <typename Parse>
 std::invoke_result_t<Parse &, const std::string &, const std::string &>
@@ -118,49 +115,22 @@ parseText(const std::string &text, const std::string &)
     return text;
 }
 
-/** A flag more than one tool takes: its name, help and value parse. */
+/** A flag more than one command takes: its name and value parse. */
 template <typename T>
 struct Flag
 {
     const char *name;
-    const char *value;  //!< placeholder in the help line, e.g. "N"
-    const char *help;
     T (*parse)(const std::string &text, const std::string &what);
-
-    /** "  --scale N          workload scale ...\n" */
-    std::string
-    helpLine() const
-    {
-        std::string line = util::concat("  ", name, " ", value);
-        line.resize(std::max<size_t>(line.size() + 1, 22), ' ');
-        return line + help + "\n";
-    }
 };
 
-inline const Flag<uint32_t> kScale{
-    "--scale", "N", "workload scale divisor, a power of two",
-    parseScale};
-inline const Flag<workload::AppId> kApp{
-    "--app", "NAME", "suite application, e.g. Water or FFT", parseApp};
-inline const Flag<std::chrono::milliseconds> kDeadline{
-    "--deadline", "MS",
-    "cancel the cells not started within MS ms (0 = none)",
-    parseMillis};
-inline const Flag<std::string> kHost{
-    "--host", "ADDR", "server address (default 127.0.0.1)", parseText};
-inline const Flag<std::string> kMetricsOut{
-    "--metrics-out", "PATH",
-    "write the metrics registry as JSON to PATH at exit", parseText};
+inline const Flag<uint32_t> kScale{"--scale", parseScale};
+inline const Flag<workload::AppId> kApp{"--app", parseApp};
+inline const Flag<std::chrono::milliseconds> kDeadline{"--deadline",
+                                                       parseMillis};
+inline const Flag<std::string> kHost{"--host", parseText};
+inline const Flag<std::string> kMetricsOut{"--metrics-out", parseText};
 
-/** The help lines of @p flags, one each. */
-template <typename... T>
-std::string
-helpLines(const Flag<T> &...flags)
-{
-    return (flags.helpLine() + ...);
-}
-
-/** Walks a command's flags, handing out their values. */
+/** Walks a command's positional arguments, then its flags. */
 class Args
 {
   public:
@@ -169,11 +139,28 @@ class Args
     {
     }
 
+    /** Whether an argument is left. */
+    bool more() const { return next_ < argc_; }
+
+    /**
+     * The next argument as the positional @p what, parsed by
+     * @p parse(text, what); a usage error naming @p what when it is
+     * missing or bad.
+     */
+    template <typename Parse>
+    auto
+    positional(Parse parse, const std::string &what)
+    {
+        if (!more())
+            throw UsageError(what + " is required");
+        return parseArg(parse, argv_[next_++], what);
+    }
+
     /** Step to the next flag; false when none is left. */
     bool
     next()
     {
-        if (next_ >= argc_)
+        if (!more())
             return false;
         flag_ = argv_[next_++];
         return true;
@@ -189,12 +176,19 @@ class Args
         return is(flag.name);
     }
 
+    /** The usage error of a current flag the command does not take. */
+    UsageError
+    unknown() const
+    {
+        return UsageError(std::string(flag_) + ": unknown flag");
+    }
+
     /** The current flag's value; a usage error naming the flag when
      *  missing. */
     const char *
     value()
     {
-        if (next_ >= argc_)
+        if (!more())
             throw UsageError(std::string(flag_) + " needs a value");
         return argv_[next_++];
     }

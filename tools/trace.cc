@@ -1,24 +1,26 @@
 /**
  * @file
- * tsp_trace — trace workflow CLI.
+ * `tsp-run trace`: the TSPT trace files (trace/trace_io.h) of the
+ * paper's trace-driven workflow, so workloads can be generated once
+ * and replayed across experiments.
  *
- *   tsp_trace gen <app|all> <file.tspt> [scale]   generate suite traces
- *   tsp_trace info <file.tspt>                    header + totals
- *   tsp_trace analyze <file.tspt>                 Table 2-style metrics
- *   tsp_trace dump <file.tspt> <thread> [count]   first events of a thread
- *
- * Traces use the TSPT binary format (trace/trace_io.h), so workloads
- * can be generated once and replayed across experiments — the
- * trace-driven workflow of the paper.
+ *   trace gen <app|all> <file.tspt> [scale]   generate suite traces
+ *   trace info <file.tspt>                    header + totals
+ *   trace analyze <file.tspt>                 Table 2-style metrics
+ *   trace dump <file.tspt> <thread> [count]   first events of a thread
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "analysis/characteristics.h"
 #include "analysis/static_analysis.h"
+#include "flags.h"
 #include "trace/trace_io.h"
+#include "tsp-run.h"
 #include "util/error.h"
 #include "util/format.h"
 #include "util/parse.h"
@@ -27,38 +29,37 @@
 #include "workload/generator.h"
 #include "workload/suite.h"
 
+namespace tsp::tools {
 namespace {
 
-using namespace tsp;
-
-int
-usage()
+/** The trace file, the one positional argument of info and analyze. */
+std::string
+onlyFile(Args &args)
 {
-    std::fprintf(stderr,
-                 "usage:\n"
-                 "  tsp_trace gen <app|all> <file.tspt> [scale]\n"
-                 "  tsp_trace info <file.tspt>\n"
-                 "  tsp_trace analyze <file.tspt>\n"
-                 "  tsp_trace dump <file.tspt> <thread> [count]\n"
-                 "apps: ");
-    for (workload::AppId app : workload::allApps())
-        std::fprintf(stderr, "%s ", workload::appName(app).c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
+    std::string path = args.positional(parseText, "<file.tspt>");
+    if (args.next())
+        throw args.unknown();
+    return path;
 }
 
 int
-cmdGen(int argc, char **argv)
+gen(Args &args)
 {
-    if (argc < 4)
-        return usage();
-    std::string appName = argv[2];
-    std::string path = argv[3];
-    uint32_t scale = argc > 4
-        ? util::parseUnsigned32(argv[4], "scale", 1)
+    // No app means all of them, written into the directory <file.tspt>.
+    const std::optional<workload::AppId> one = args.positional(
+        [](const std::string &text, const std::string &what) {
+            return text == "all" ? std::nullopt
+                                 : std::optional(parseApp(text, what));
+        },
+        "<app>");
+    const std::string path = args.positional(parseText, "<file.tspt>");
+    const uint32_t scale = args.more()
+        ? args.positional(parseScale, "<scale>")
         : workload::defaultScale();
+    if (args.next())
+        throw args.unknown();
 
-    if (appName == "all") {
+    if (!one) {
         for (workload::AppId app : workload::allApps()) {
             auto traces =
                 workload::generateTraces(workload::profile(app), scale);
@@ -71,8 +72,7 @@ cmdGen(int argc, char **argv)
         }
         return 0;
     }
-    workload::AppId app = workload::appByName(appName);
-    auto traces = workload::generateTraces(workload::profile(app),
+    auto traces = workload::generateTraces(workload::profile(*one),
                                            scale);
     trace::saveFile(traces, path);
     std::printf("wrote %s: %u threads, %s instructions, %s data "
@@ -87,11 +87,9 @@ cmdGen(int argc, char **argv)
 }
 
 int
-cmdInfo(int argc, char **argv)
+info(Args &args)
 {
-    if (argc < 3)
-        return usage();
-    auto traces = trace::loadFile(argv[2]);
+    auto traces = trace::loadFile(onlyFile(args));
     std::printf("application: %s\n", traces.name().c_str());
     std::printf("threads:     %u\n", traces.threadCount());
     std::printf("instructions:%s\n",
@@ -117,11 +115,9 @@ cmdInfo(int argc, char **argv)
 }
 
 int
-cmdAnalyze(int argc, char **argv)
+analyze(Args &args)
 {
-    if (argc < 3)
-        return usage();
-    auto traces = trace::loadFile(argv[2]);
+    auto traces = trace::loadFile(onlyFile(args));
     auto an = analysis::StaticAnalysis::analyze(traces);
     util::Rng rng(1);
     auto row = analysis::computeCharacteristics(an, rng);
@@ -150,16 +146,22 @@ cmdAnalyze(int argc, char **argv)
 }
 
 int
-cmdDump(int argc, char **argv)
+dump(Args &args)
 {
-    if (argc < 4)
-        return usage();
-    auto traces = trace::loadFile(argv[2]);
-    uint32_t tid = util::parseUnsigned32(argv[3], "thread");
-    size_t count = argc > 4
-        ? static_cast<size_t>(util::parseUnsigned(argv[4], "count"))
-        : 20;
-    util::fatalIf(tid >= traces.threadCount(), "no such thread");
+    const auto number = [](const std::string &text,
+                           const std::string &what) {
+        return util::parseUnsigned32(text, what);
+    };
+    const std::string path = args.positional(parseText, "<file.tspt>");
+    const uint32_t tid = args.positional(number, "<thread>");
+    const size_t count =
+        args.more() ? args.positional(number, "<count>") : 20;
+    if (args.next())
+        throw args.unknown();
+    auto traces = trace::loadFile(path);
+    util::fatalIf(tid >= traces.threadCount(),
+                  util::concat("<thread>: ", path, " has no thread ",
+                               tid));
 
     const auto &t = traces.thread(tid);
     size_t shown = 0;
@@ -195,22 +197,20 @@ cmdDump(int argc, char **argv)
 } // namespace
 
 int
-main(int argc, char **argv)
+runTrace(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    try {
-        if (std::strcmp(argv[1], "gen") == 0)
-            return cmdGen(argc, argv);
-        if (std::strcmp(argv[1], "info") == 0)
-            return cmdInfo(argc, argv);
-        if (std::strcmp(argv[1], "analyze") == 0)
-            return cmdAnalyze(argc, argv);
-        if (std::strcmp(argv[1], "dump") == 0)
-            return cmdDump(argc, argv);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
-    return usage();
+    static const std::pair<std::string, int (*)(Args &)> kCommands[] = {
+        {"gen", gen}, {"info", info}, {"analyze", analyze}, {"dump", dump}};
+    Args args(argc, argv, 2);
+    const auto command = args.positional(
+        [](const std::string &text, const std::string &) {
+            for (const auto &[name, run] : kCommands)
+                if (text == name)
+                    return run;
+            util::fatal("unknown command: " + text);
+        },
+        "trace <command>");
+    return command(args);
 }
+
+} // namespace tsp::tools

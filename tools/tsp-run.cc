@@ -1,93 +1,41 @@
 /**
  * @file
- * tsp-run — one-shot experiment CLI: place one suite application with
- * one algorithm on one machine configuration and print the full
- * statistics. Also hosts the fault-tolerant placement sweeps, the
- * chaos matrix and the sampling study.
+ * tsp-run — the project's one command-line tool. Its commands cover
+ * the paper's trace-driven pipeline (generate per-thread traces,
+ * analyze their sharing, place the threads, simulate, normalize to
+ * RANDOM) and the service around it:
  *
- *   tsp-run <app> <algorithm> <processors> [options]
- *   tsp-run sweep <app> [options]
- *   tsp-run hierarchy <app> [options]
- *   tsp-run chaos [options]
- *   tsp-run sample [options]
+ *   tsp-run <app> <algorithm> <processors>   one placement, one
+ *                                            simulation, its statistics
+ *   tsp-run sweep|hierarchy <app>   the fault-tolerant placement sweep
+ *   tsp-run chaos                   the fault-injection matrix
+ *   tsp-run sample                  the BBV phase-sampling study
+ *   tsp-run trace gen|info|analyze|dump   TSPT trace files (trace.cc)
+ *   tsp-run serve                   the resident daemon (serve.cc)
+ *   tsp-run client                  one study over the wire (client.cc)
  *
- * shared options, parsed in one place (sweep and hierarchy take all
- * five; the single run takes all but --jobs; chaos takes --scale and
- * --jobs; sample takes --scale and --paranoid):
- *   --scale N        workload scale divisor (default TSP_SCALE or 8;
- *                    chaos: 64)
- *   --jobs N         threads the sweep's cells fan out over, 1-1024
- *                    (overrides TSP_JOBS; results are identical at
- *                    any width)
- *   --metrics-out PATH  enable the metrics registry and export it as
- *                       JSON to PATH on completion
- *   --fault SPEC     arm one deterministic fault: site:nth[+]:kind
- *                    (see docs/robustness.md; same as TSP_FAULT)
- *   --paranoid N     run the coherence invariant checker every N
- *                    memory references (0 disables; same as
- *                    TSP_PARANOID)
+ * `tsp-run` alone, or with a flag first (--help), prints the usage,
+ * the one list of every command's flags. No suite application is
+ * named like a command, so the single run's <app> never shadows one.
+ * Every argument parses through tools/flags.h: a missing, malformed
+ * or out-of-range value, a bad positional argument and a flag the
+ * command does not take are each a usage error naming it.
  *
- * options (single run):
- *   --contexts N     hardware contexts/processor (default: fit all)
- *   --cache BYTES    cache size (default: the app's paper cache,
- *                    scaled)
- *   --assoc N        associativity (default 1, direct-mapped)
- *   --latency N      memory latency cycles (default 50)
- *   --switch N       context switch cycles (default 6)
- *   --infinite       use the 8 MB "infinite" cache
- *   --profile        collect the write-run sharing profile
+ * Signals: one SIGINT/SIGTERM handler trips one util::CancelToken
+ * (cancelOnSignal). A sweep's token, made with its --deadline, skips
+ * the cells not yet started: in-flight cells finish and are
+ * journaled, the checkpoint, metrics and trace timeline are flushed,
+ * and the run exits 4 (re-running with the same --checkpoint
+ * resumes). serve's token begins a graceful drain, which exits 0.
  *
- * options (sweep and hierarchy — every figure algorithm at every
- * standard machine point, normalized to RANDOM: sweep on the paper's
- * flat-1994 machine, hierarchy once per memory-system variant of
- * docs/memory_system.md):
- *   --batch N          lanes per batched lockstep simulation: up to N
- *                      cells of one application advance together over
- *                      its shared traces (bit-identical results;
- *                      overrides TSP_BATCH; 1 = off)
- *   --checkpoint PATH  journal completed cells to the result store
- *                      PATH; a re-run replays it and simulates only
- *                      the missing cells (crash-safe resume). The
- *                      same file works as `tsp-serve --store PATH`
- *   --deadline MS      cancel the cells not started within MS ms of
- *                      the sweep's start (0 = none): journaled cells
- *                      stay, and the run exits 4 like an interrupted
- *                      one
- *   --trace-out PATH   write a per-cell Chrome trace-event timeline
- *                      (JSONL; open in chrome://tracing or Perfetto)
- *   --csv PATH         write the study as CSV to PATH
- *
- * options (chaos — run the fault-injection matrix, see
- * docs/robustness.md):
- *   --app NAME   --workdir PATH   --verbose   --quiet
- *
- * options (sample — BBV phase-sampling error-vs-speed study,
- * docs/performance.md "Sampling methodology"):
- *   --app NAME       add a suite application (repeatable; default:
- *                    all of them)
- *   --threads N      add a synthetic scalable workload with N
- *                    threads on N processors (up to 1024)
- *   --mean N         synthetic workload mean thread length
- *   --length-mult N  thread-length multiplier (sampling pays off on
- *                    long traces; 8-32x shows the >=20x regime)
- *   --window LIST    comma-separated window sizes, in per-thread
- *                    references (default 20000,50000)
- *   --clusters LIST  comma-separated phase counts (default 4,8)
- *   --warmup N       warmup windows per representative (default 1)
- *   --csv PATH       write the study as CSV to PATH
- *
- * Signals: a sweep or hierarchy run receiving SIGINT/SIGTERM cancels
- * cooperatively, as a passed --deadline does — in-flight cells finish
- * and are journaled, the checkpoint, metrics export and trace
- * timeline are flushed, and the process exits with code 4 (resume by
- * re-running with the same --checkpoint).
- *
- * Exit codes: 0 success; 1 error; 2 usage; 3 degraded (failed cells /
- * chaos matrix failures); 4 interrupted by a signal or the deadline.
- *
- * Flags and positional arguments are parsed strictly (tools/flags.h):
- * a missing, malformed or out-of-range value is a usage error (exit
- * 2) with a message naming the flag or argument.
+ * Exit codes:
+ *   0  success (serve: also a drain after a signal; client: answered,
+ *      also through --local-fallback)
+ *   1  error (client: the transport stayed dead)
+ *   2  usage: a bad flag or argument, named
+ *   3  degraded or refused: failed cells, chaos matrix failures, or a
+ *      request a healthy server rejected (client)
+ *   4  cancelled by a signal or --deadline (sweep, hierarchy)
  */
 
 #include <algorithm>
@@ -111,6 +59,7 @@
 #include "obs/trace_sink.h"
 #include "sim/machine.h"
 #include "svc/chaos_leg.h"
+#include "tsp-run.h"
 #include "util/bits.h"
 #include "util/cancel.h"
 #include "util/error.h"
@@ -120,21 +69,10 @@
 #include "util/table.h"
 #include "workload/suite.h"
 
+namespace tsp::tools {
+
 namespace {
 
-using namespace tsp;
-
-using tools::Args;
-
-/** Exit codes (also documented in the file header). */
-constexpr int kExitDegraded = 3;
-constexpr int kExitInterrupted = 4;
-
-/**
- * The sweep's token, made with its --deadline before the signal
- * handlers are installed; tripped by SIGINT/SIGTERM or by the
- * deadline, and polled by the sweep before every cell.
- */
 std::optional<util::CancelToken> gCancel;
 volatile std::sig_atomic_t gSignal = 0;
 
@@ -142,12 +80,34 @@ extern "C" void
 onSignal(int sig)
 {
     // Only async-signal-safe operations: set two atomics and return.
-    // The sweep loop notices, finishes in-flight cells, flushes the
-    // checkpoint/metrics/trace, and exits with kExitInterrupted.
+    // A sweep finishes its in-flight cells and flushes; serve drains.
     gSignal = sig;
     gCancel->requestCancel(
         "interrupted by a signal before this cell started");
 }
+
+} // namespace
+
+util::CancelToken &
+cancelOnSignal(std::chrono::milliseconds deadline)
+{
+    using Clock = util::CancelToken::Clock;
+    gCancel.emplace(deadline.count() ? Clock::now() + deadline
+                                     : Clock::time_point::max(),
+                    Clock::now,
+                    "the --deadline passed before this cell started");
+    std::signal(SIGINT, onSignal);
+    std::signal(SIGTERM, onSignal);
+    return *gCancel;
+}
+
+int
+caughtSignal()
+{
+    return gSignal;
+}
+
+namespace {
 
 int
 usage()
@@ -155,41 +115,76 @@ usage()
     std::fprintf(
         stderr,
         "usage: tsp-run <app> <algorithm> <processors> [options]\n"
-        "       tsp-run sweep|hierarchy <app> [--batch N]"
-        " [--checkpoint PATH]\n"
-        "               [--deadline MS] [--trace-out PATH]"
-        " [--csv PATH]\n"
-        "       tsp-run chaos [--app NAME] [--workdir PATH]"
-        " [--verbose|--quiet]\n"
+        "         --contexts N  --cache BYTES  --assoc N  --latency N"
+        "  --switch N\n"
+        "         --infinite  --profile\n"
+        "       tsp-run sweep|hierarchy <app> [options]\n"
+        "         every figure algorithm at every standard machine"
+        " point, normalized\n"
+        "         to RANDOM (hierarchy: once per memory system)\n"
+        "         --batch N          lanes per lockstep simulation"
+        " (default $TSP_BATCH,\n"
+        "                            else 1 = off)\n"
+        "         --checkpoint PATH  result store to resume from and"
+        " journal to (also\n"
+        "                            serve --store)\n"
+        "         --deadline MS      cancel the cells not started"
+        " within MS ms (0 = none)\n"
+        "         --trace-out PATH   per-cell Chrome trace-event"
+        " timeline (JSONL)\n"
+        "         --csv PATH         the study as CSV\n"
+        "       tsp-run chaos [--workdir PATH] [--verbose|--quiet]\n"
         "       tsp-run sample [--app NAME ...] [--threads N]"
         " [--mean N]\n"
         "               [--length-mult N] [--window LIST]"
-        " [--clusters LIST]\n"
-        "               [--warmup N] [--csv PATH]\n"
-        "shared: --scale N  --jobs N  --metrics-out PATH"
-        "  --fault site:nth[+]:kind  --paranoid N\n"
-        "        (single run: all but --jobs; chaos: --scale, --jobs;"
-        " sample: --scale,\n"
-        "        --paranoid; --jobs N is 1-%u)\n"
-        "%s"
-        "single run: --contexts N  --cache BYTES  --assoc N"
-        "  --latency N  --switch N\n"
-        "            --infinite  --profile\n"
-        "--checkpoint PATH is a result store to resume from and"
-        " journal to (the same\n"
-        "file as tsp-serve --store); --batch N sets the lanes per"
-        " lockstep simulation\n"
-        "batch (default $TSP_BATCH, else 1 = off)\n"
-        "algorithms: ",
-        util::kMaxThreads,
-        tools::helpLines(tools::kScale, tools::kApp, tools::kDeadline,
-                         tools::kMetricsOut)
-            .c_str());
+        " [--clusters LIST] [--warmup N]\n"
+        "               [--csv PATH]\n"
+        "       tsp-run trace gen <app|all> <file.tspt> [scale]\n"
+        "       tsp-run trace info|analyze <file.tspt>\n"
+        "       tsp-run trace dump <file.tspt> <thread> [count]\n"
+        "       tsp-run serve [options]   the daemon under its"
+        " closed-loop load generator\n"
+        "         --workers N (2)  --capacity N (64)  --deadline MS"
+        "  --store PATH\n"
+        "         --clients N (4)  --requests N (16)"
+        "  --jobs-per-request N (1)\n"
+        "         --shed-retries N (2)  --shed-backoff MS (1)"
+        "  --seed N (1)\n"
+        "         --listen PORT      serve the wire protocol instead"
+        " (0 = any port)\n"
+        "         --connect PORT     the load generator submits over"
+        " the wire\n"
+        "         --host ADDR (127.0.0.1)  --max-connections N (64)\n"
+        "       tsp-run client --port PORT [options]   one study to a"
+        " serve --listen\n"
+        "         --host ADDR  --alg NAME (repeatable)  --deadline MS"
+        "  --priority N\n"
+        "         --reconnects N (3)  --reconnect-backoff MS (10)"
+        "  --timeout MS (10000)\n"
+        "         --local-fallback\n"
+        "shared: --scale N         workload scale divisor, a power of"
+        " two (all but trace)\n"
+        "        --app NAME        chaos, sample, serve, client\n"
+        "        --metrics-out PATH  single run, sweep, hierarchy,"
+        " serve\n"
+        "        --jobs N          1-%u threads: sweep, hierarchy,"
+        " chaos\n"
+        "        --fault site:nth[+]:kind  single run, sweep,"
+        " hierarchy\n"
+        "        --paranoid N      single run, sweep, hierarchy,"
+        " sample\n"
+        "exit: 0 ok, 1 error, 2 usage, 3 degraded or refused,"
+        " 4 cancelled\n"
+        "apps:",
+        util::kMaxThreads);
+    for (workload::AppId app : workload::allApps())
+        std::fprintf(stderr, " %s", workload::appName(app).c_str());
+    std::fprintf(stderr, "\nalgorithms:");
     for (placement::Algorithm alg : placement::allAlgorithms())
-        std::fprintf(stderr, "%s ",
+        std::fprintf(stderr, " %s",
                      placement::algorithmName(alg).c_str());
     std::fprintf(stderr, "\n");
-    return tools::kExitUsage;
+    return kExitUsage;
 }
 
 /**
@@ -220,9 +215,9 @@ struct SharedFlags
         if ((accepted & kScale) && args.is(tools::kScale)) {
             scale = args.get(tools::kScale);
         } else if ((accepted & kJobs) && args.is("--jobs")) {
-            jobs = args.parsed(tools::parseThreads);
-        } else if ((accepted & kMetrics) && args.is(tools::kMetricsOut)) {
-            metricsPath = args.get(tools::kMetricsOut);
+            jobs = args.parsed(parseThreads);
+        } else if ((accepted & kMetrics) && args.is(kMetricsOut)) {
+            metricsPath = args.get(kMetricsOut);
             obs::setMetricsEnabled(true);
         } else if ((accepted & kFault) && args.is("--fault")) {
             args.parsed([](const std::string &spec, const std::string &) {
@@ -253,48 +248,40 @@ struct SharedFlags
  * system, with its L2 hit rate and interconnect queueing) for
  * `hierarchy` — in degraded mode with an optional checkpoint journal
  * and cooperative cancel (a signal or the deadline). Failed cells
- * render as FAILED; the sweep statistics (cells replayed from the
- * checkpoint vs simulated vs failed) and the failure summary print
- * after the tables.
+ * render as FAILED and skipped ones as CANCELLED; the sweep statistics
+ * (cells replayed from the checkpoint vs simulated vs failed vs
+ * cancelled) and the failure summary print after the tables.
  */
 int
 runSweep(int argc, char **argv)
 {
-    if (argc < 3)
-        return usage();
     const bool hierarchy = !std::strcmp(argv[1], "hierarchy");
-    const workload::AppId app =
-        tools::parseArg(tools::parseApp, argv[2], "<app>");
+    Args args(argc, argv, 2);
+    const workload::AppId app = args.positional(parseApp, "<app>");
 
     SharedFlags shared;
     unsigned batch = experiment::defaultBatchLanes();
     std::string checkpointPath, tracePath, csvPath;
     std::chrono::milliseconds deadline{0};
-    for (Args args(argc, argv, 3); args.next();) {
+    while (args.next()) {
         if (shared.parse(args))
             continue;
         if (args.is("--batch"))
             batch = args.number32(1, 4096);
         else if (args.is("--checkpoint"))
             checkpointPath = args.value();
-        else if (args.is(tools::kDeadline))
-            deadline = args.get(tools::kDeadline);
+        else if (args.is(kDeadline))
+            deadline = args.get(kDeadline);
         else if (args.is("--trace-out"))
             tracePath = args.value();
         else if (args.is("--csv"))
             csvPath = args.value();
         else
-            return usage();
+            throw args.unknown();
     }
 
     // The sweep starts here: its deadline counts from now.
-    using Clock = util::CancelToken::Clock;
-    gCancel.emplace(deadline.count() ? Clock::now() + deadline
-                                     : Clock::time_point::max(),
-                    Clock::now,
-                    "the --deadline passed before this cell started");
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    const util::CancelToken &cancel = cancelOnSignal(deadline);
     std::optional<obs::TraceSink> trace;
     if (!tracePath.empty()) {
         trace.emplace(tracePath, std::string("tsp-run ") + argv[1]);
@@ -322,7 +309,7 @@ runSweep(int argc, char **argv)
          .checkpoint = checkpoint ? &*checkpoint : nullptr,
          .failures = &failures,
          .statsOut = &stats,
-         .cancel = &*gCancel,
+         .cancel = &cancel,
          .onCell = [&](size_t, const auto &, double wallMs) {
              cellMsMax = std::max(cellMsMax, wallMs);
          }});
@@ -338,7 +325,7 @@ runSweep(int argc, char **argv)
                 stats.simulated, stats.failed);
     if (stats.cancelled)
         std::printf("cancelled: %zu cells skipped (%s)\n",
-                    stats.cancelled, gCancel->reason());
+                    stats.cancelled, cancel.reason());
     if (stats.simulated) {
         std::printf("cell wall time: %s ms total (max %s ms per "
                     "cell)\n",
@@ -362,13 +349,13 @@ runSweep(int argc, char **argv)
                     static_cast<unsigned long long>(trace->events()));
     }
     shared.writeMetrics();
-    if (stats.cancelled || gSignal) {
+    if (stats.cancelled || caughtSignal()) {
         // Everything above already flushed: the checkpoint journals
         // each cell on completion, and the trace/metrics files were
         // just closed. Resuming re-runs only the skipped cells.
         std::printf("interrupted: resume with the same --checkpoint "
                     "to finish the remaining cells\n");
-        return kExitInterrupted;
+        return kExitCancelled;
     }
     return failures.empty() ? 0 : kExitDegraded;
 }
@@ -391,8 +378,8 @@ runChaos(int argc, char **argv)
     for (Args args(argc, argv, 2); args.next();) {
         if (shared.parse(args))
             continue;
-        if (args.is(tools::kApp))
-            opt.app = args.get(tools::kApp);
+        if (args.is(kApp))
+            opt.app = args.get(kApp);
         else if (args.is("--workdir"))
             opt.workDir = args.value();
         else if (args.is("--verbose"))
@@ -400,7 +387,7 @@ runChaos(int argc, char **argv)
         else if (args.is("--quiet"))
             opt.verbose = false;
         else
-            return usage();
+            throw args.unknown();
     }
     opt.scale = shared.scale;
     opt.jobs = shared.jobs;
@@ -440,8 +427,8 @@ runSample(int argc, char **argv)
     for (Args args(argc, argv, 2); args.next();) {
         if (shared.parse(args))
             continue;
-        if (args.is(tools::kApp)) {
-            profiles.push_back(workload::profile(args.get(tools::kApp)));
+        if (args.is(kApp)) {
+            profiles.push_back(workload::profile(args.get(kApp)));
         } else if (args.is("--threads")) {
             synthThreads = args.number32(2, sim::kMaxProcessors);
         } else if (args.is("--mean")) {
@@ -458,7 +445,7 @@ runSample(int argc, char **argv)
         } else if (args.is("--csv")) {
             csvPath = args.value();
         } else {
-            return usage();
+            throw args.unknown();
         }
     }
     options.scale = shared.scale;
@@ -495,25 +482,23 @@ runSample(int argc, char **argv)
 int
 runOne(int argc, char **argv)
 {
-    if (argc < 4)
-        return usage();
-    const workload::AppId app =
-        tools::parseArg(tools::parseApp, argv[1], "<app>");
+    Args args(argc, argv, 1);
+    const workload::AppId app = args.positional(parseApp, "<app>");
     const placement::Algorithm alg =
-        tools::parseArg(tools::parseAlgorithm, argv[2], "<algorithm>");
-    const uint32_t procs = tools::parseArg(
+        args.positional(parseAlgorithm, "<algorithm>");
+    const uint32_t procs = args.positional(
         [](const std::string &text, const std::string &what) {
             return util::parseUnsigned32(text, what, 1,
                                          sim::kMaxProcessors);
         },
-        argv[3], "<processors>");
+        "<processors>");
 
     // The single run simulates one cell, so --jobs has nothing to fan.
     SharedFlags shared{.accepted = SharedFlags::kAll & ~SharedFlags::kJobs};
     uint32_t contexts = 0, assoc = 1, latency = 50, switchCy = 6;
     uint64_t cacheBytes = 0;
     bool infinite = false, profile = false;
-    for (Args args(argc, argv, 4); args.next();) {
+    while (args.next()) {
         if (shared.parse(args))
             continue;
         if (args.is("--contexts"))
@@ -531,7 +516,7 @@ runOne(int argc, char **argv)
         else if (args.is("--profile"))
             profile = true;
         else
-            return usage();
+            throw args.unknown();
     }
     experiment::Lab lab(shared.scale);
     const auto &an = lab.analysis(app);
@@ -600,25 +585,35 @@ runOne(int argc, char **argv)
 
 } // namespace
 
+} // namespace tsp::tools
+
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    using namespace tsp::tools;
+    // No command or app starts with '-': `tsp-run --help` gets usage.
+    if (argc < 2 || argv[1][0] == '-')
         return usage();
+    const std::string command = argv[1];
     try {
-        if (!std::strcmp(argv[1], "sweep") ||
-            !std::strcmp(argv[1], "hierarchy"))
+        if (command == "sweep" || command == "hierarchy")
             return runSweep(argc, argv);
-        if (!std::strcmp(argv[1], "chaos"))
+        if (command == "chaos")
             return runChaos(argc, argv);
-        if (!std::strcmp(argv[1], "sample"))
+        if (command == "sample")
             return runSample(argc, argv);
+        if (command == "trace")
+            return runTrace(argc, argv);
+        if (command == "serve")
+            return runServe(argc, argv);
+        if (command == "client")
+            return runClient(argc, argv);
         return runOne(argc, argv);
-    } catch (const tools::UsageError &e) {
+    } catch (const UsageError &e) {
         std::fprintf(stderr, "%s\n", e.what());
-        return tools::kExitUsage;
+        return kExitUsage;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
-        return 1;
+        return kExitError;
     }
 }
